@@ -188,8 +188,8 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
         raise ConfigError("horizon must be positive")
     if not 0 <= cfg.master_seed < 2**64:
         raise ConfigError("master_seed must satisfy 0 <= seed < 2**64")
-    if cfg.n_paths < 1:
-        raise ConfigError("n_paths must be at least 1")
+    if cfg.n_paths < 2:
+        raise ConfigError("n_paths must be at least 2 (every check needs a standard error)")
     if cfg.grid_n < 1:
         raise ConfigError("grid_n must be at least 1")
     if cfg.solver not in _SOLVER_CHOICES:

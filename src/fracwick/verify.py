@@ -2,9 +2,15 @@
 
 Each identity becomes a residual: left side minus the frozen left-endpoint
 discretization of the right side, evaluated per path. Deterministic kernel
-factors (rectangle integrals of phi, diagonal kernel cells) are exact;
-everything random is frozen at left endpoints. Expectations of residuals
-are then tested by z-score, pathwise magnitudes by refinement ladders.
+factors are exact and built once per call as per-cell vectors: spacings,
+half cells dt^2H / 2, left corrections, diagonal cell integrals, and the
+lower kernel G_i = sum_{j<i} b_j int int phi over cell i x cell j, which
+summation by parts reduces to differences of the covariance R at the jumps
+of the step coefficient b (O(n k) for k jumps; no n x n matrix). Everything
+random is frozen at left endpoints and evaluated over fixed row blocks of
+the path matrix; every reduction runs along a row, so the blocking changes
+no bit of the result. Expectations of residuals are then tested by
+z-score, pathwise magnitudes by refinement ladders.
 """
 from __future__ import annotations
 
@@ -18,11 +24,12 @@ from .errors import GridMismatchError, UnsupportedCaseError
 from .fbm import covariance, ensemble_values
 from .functions import CylinderFunction, SpaceTimeFunction
 from .grids import SamplePath, TimeGrid
-from .mc import MonteCarloReport, fsum
-from .phicalc import PhiContext, phi_norm_sq, rect_weight_matrix
+from .mc import EXACT_REL_TOL, MonteCarloReport, fsum
+from .phicalc import PhiContext
 from .stepfn import StepFunction
 from .wick import (
     _as_matrix,
+    _guarded_norm_sq,
     _step_levels_on_path,
     diagonal_cell_integrals,
     left_corrections,
@@ -30,6 +37,28 @@ from .wick import (
 
 # Cost cap for convergence ladders: paths times total cells across rungs.
 MAX_LADDER_BUDGET = 2**28
+
+# Path-matrix cells per block of residual arithmetic. A block temporary of
+# 2**16 float64 cells is 512 KiB, so the working set of one block stays in
+# a core's L2 cache. Measured on a 2-core Xeon with 2 MiB of L2 per core,
+# the fastest row counts were 64-256 at grid_n = 256, 16-64 at 1024 and
+# 8-16 at 4096: 2**14 to 2**16 cells at every size. At 4096, 256-row
+# blocks took 1.9x and the unblocked 2000 paths 3.5x as long as 16 rows.
+_BLOCK_CELLS = 2**16
+
+
+def _by_row_blocks(w: np.ndarray, block_residuals: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per-path residuals of w, evaluated a fixed number of rows at a time.
+
+    block_residuals maps a block of path rows to their residuals and
+    reduces only along rows, so the result equals one call on all of w
+    bit for bit.
+    """
+    rows = max(1, _BLOCK_CELLS // w.shape[1])
+    out = np.empty(w.shape[0])
+    for lo in range(0, w.shape[0], rows):
+        out[lo : lo + rows] = block_residuals(w[lo : lo + rows])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -53,23 +82,38 @@ def _cell_levels(coef: float | StepFunction, grid: TimeGrid) -> np.ndarray:
     return np.full(grid.n_intervals, float(coef))
 
 
-def drive_values(spec: DriveSpec, w: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Left-endpoint discrete trajectory of the drive along noise rows w."""
-    w = np.atleast_2d(w)
-    a = _cell_levels(spec.drift, grid)
-    b = _cell_levels(spec.diffusion, grid)
-    incr = a * grid.spacings + b * np.diff(w, axis=1)
-    out = np.empty_like(w)
-    out[:, 0] = spec.x0
+def _drive_values(x0: float, a: np.ndarray, b: np.ndarray, dt: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """Left-endpoint trajectory x0 + sum (a dt + b dW) along noise rows."""
+    incr = a * dt + b * dw
+    out = np.empty((dw.shape[0], dw.shape[1] + 1))
+    out[:, 0] = x0
     np.cumsum(incr, axis=1, out=out[:, 1:])
-    out[:, 1:] += spec.x0
+    out[:, 1:] += x0
     return out
 
 
-def _lower_kernel(b_levels: np.ndarray, rect: np.ndarray) -> np.ndarray:
-    """G_i = sum_{j < i} b_j Rect_{ij}: the exact integral over cell i of the
-    phi-derivative of the drive frozen at t_i."""
-    return np.tril(rect, -1) @ b_levels
+def _lower_kernel(b_levels: np.ndarray, t: np.ndarray, ctx: PhiContext) -> np.ndarray:
+    """G_i = sum_{j<i} b_j int int phi over cell i x cell j: the exact
+    integral over cell i of the phi-derivative of the drive frozen at t_i.
+
+    The rectangle integral is D_i(t_{j+1}) - D_i(t_j) with
+    D_i(v) = R(t_{i+1}, v) - R(t_i, v), and D_i(0) = 0, so summation by
+    parts leaves
+        G_i = b_{i-1} D_i(t_i) - sum_{jumps j<i} (b_j - b_{j-1}) D_i(t_j).
+    One O(n) pass per jump of b: O(n k) for k jumps, with no n x n matrix.
+    """
+    b = np.asarray(b_levels, dtype=float)
+    two_h = 2.0 * ctx.h
+    left, right = t[:-1], t[1:]
+    rise = right**two_h - left**two_h
+    g = np.zeros(b.size)
+    # D_i(t_i) = (t_{i+1}^2H - t_i^2H - dt_i^2H) / 2
+    g[1:] = b[:-1] * (0.5 * (rise - (right - left) ** two_h))[1:]
+    for j in np.flatnonzero(np.diff(b)) + 1:
+        v = t[j]
+        d_i = 0.5 * (rise[j + 1 :] - (right[j + 1 :] - v) ** two_h + (left[j + 1 :] - v) ** two_h)
+        g[j + 1 :] -= (b[j] - b[j - 1]) * d_i
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -97,36 +141,37 @@ def ito_residuals(
     w, g = _as_matrix(paths, grid)
     f = case.f
     t = g.points
-    dt = g.spacings
-    dw = np.diff(w, axis=1)
-    if case.a is None:
-        a_lv = np.ones(g.n_intervals)
-        eta = w
-    else:
-        a_lv = _step_levels_on_path(case.a, g)
-        eta = np.empty_like(w)
-        eta[:, 0] = 0.0
-        np.cumsum(a_lv * dw, axis=1, out=eta[:, 1:])
-    rect = rect_weight_matrix(t, ctx)
-    g_kernel = _lower_kernel(a_lv, rect)
-    half_cell = 0.5 * dt ** (2.0 * ctx.h)
+    a_lv = np.ones(g.n_intervals) if case.a is None else _step_levels_on_path(case.a, g)
+    g_kernel = _lower_kernel(a_lv, t, ctx)
+    half_cell = 0.5 * g.spacings ** (2.0 * ctx.h)
     diag_cells = g_kernel + a_lv * half_cell
-
+    wick_weights = a_lv * g_kernel
+    curvature_weights = a_lv * diag_cells
     left_t = t[:-1]
-    left_x = eta[:, :-1]
-    fx = f.dx(left_t, left_x)
-    fxx = f.dxx(left_t, left_x)
+    f_start = f.value(0.0, 0.0)
 
-    lhs = f.value(t[-1], eta[:, -1]) - f.value(0.0, 0.0)
-    noise_term = (fx * (a_lv * dw)).sum(axis=1)
-    wick_corr = (fxx * (a_lv * g_kernel)).sum(axis=1)
-    drift_term = f.dt_cell_integral(left_t, t[1:], left_x).sum(axis=1)
-    curvature_term = (fxx * (a_lv * diag_cells)).sum(axis=1)
-    return lhs - (noise_term - wick_corr + drift_term + curvature_term)
+    def block(wb: np.ndarray) -> np.ndarray:
+        dw = np.diff(wb, axis=1)
+        if case.a is None:
+            eta = wb
+        else:
+            eta = np.empty_like(wb)
+            eta[:, 0] = 0.0
+            np.cumsum(a_lv * dw, axis=1, out=eta[:, 1:])
+        left_x = eta[:, :-1]
+        fx = f.dx(left_t, left_x)
+        fxx = f.dxx(left_t, left_x)
+        lhs = f.value(t[-1], eta[:, -1]) - f_start
+        noise_term = (fx * (a_lv * dw)).sum(axis=1)
+        wick_corr = (fxx * wick_weights).sum(axis=1)
+        # d f / ds vanishes identically for a time-independent field
+        drift_term = (
+            f.dt_cell_integral(left_t, t[1:], left_x).sum(axis=1) if f.time_dependent else 0.0
+        )
+        curvature_term = (fxx * curvature_weights).sum(axis=1)
+        return lhs - (noise_term - wick_corr + drift_term + curvature_term)
 
-
-def ito_residual_path(case: ItoCase, path: SamplePath, ctx: PhiContext) -> float:
-    return float(ito_residuals(case, path.values[None, :], ctx, grid=path.grid)[0])
+    return _by_row_blocks(w, block)
 
 
 # ---------------------------------------------------------------------------
@@ -145,66 +190,41 @@ def product_rule_residuals(
     w, g = _as_matrix(paths, grid)
     t = g.points
     dt = g.spacings
-    dw = np.diff(w, axis=1)
     ax, bx = _cell_levels(x_case.drift, g), _cell_levels(x_case.diffusion, g)
     ay, by = _cell_levels(y_case.drift, g), _cell_levels(y_case.diffusion, g)
-    x = drive_values(x_case, w, g)
-    y = drive_values(y_case, w, g)
-    rect = rect_weight_matrix(t, ctx)
-    gx = _lower_kernel(bx, rect)
-    gy = _lower_kernel(by, rect)
+    gx = _lower_kernel(bx, t, ctx)
+    gy = _lower_kernel(by, t, ctx)
     half_cell = 0.5 * dt ** (2.0 * ctx.h)
-
-    xl, yl = x[:, :-1], y[:, :-1]
-    # dW sums are left-endpoint by construction; the ordinary dt integrals
-    # use the trapezoid rule, which is exact for the affine family and
-    # keeps the deterministic part of the residual at rounding level.
-    xm = 0.5 * (x[:, :-1] + x[:, 1:])
-    ym = 0.5 * (y[:, :-1] + y[:, 1:])
-    x_dy = (xm * (ay * dt)).sum(axis=1) + (xl * (by * dw)).sum(axis=1)
-    y_dx = (ym * (ax * dt)).sum(axis=1) + (yl * (bx * dw)).sum(axis=1)
     # With deterministic coefficients the Wick corrections and the cross
     # phi-derivative term are deterministic, identical for every path.
     x_dy_corr = fsum(by * gx)
     y_dx_corr = fsum(bx * gy)
     cross = fsum(bx * (gy + by * half_cell) + by * (gx + bx * half_cell))
-    lhs = x[:, -1] * y[:, -1] - x_case.x0 * y_case.x0
-    return lhs - (x_dy - x_dy_corr + y_dx - y_dx_corr + cross)
+    ay_dt, ax_dt = ay * dt, ax * dt
+    start = x_case.x0 * y_case.x0
 
+    def block(wb: np.ndarray) -> np.ndarray:
+        dw = np.diff(wb, axis=1)
+        x = _drive_values(x_case.x0, ax, bx, dt, dw)
+        y = _drive_values(y_case.x0, ay, by, dt, dw)
+        xl, yl = x[:, :-1], y[:, :-1]
+        # dW sums are left-endpoint by construction; the ordinary dt
+        # integrals use the trapezoid rule, which is exact for the affine
+        # family and keeps the deterministic part of the residual at
+        # rounding level.
+        xm = 0.5 * (x[:, :-1] + x[:, 1:])
+        ym = 0.5 * (y[:, :-1] + y[:, 1:])
+        x_dy = (xm * ay_dt).sum(axis=1) + (xl * (by * dw)).sum(axis=1)
+        y_dx = (ym * ax_dt).sum(axis=1) + (yl * (bx * dw)).sum(axis=1)
+        lhs = x[:, -1] * y[:, -1] - start
+        return lhs - (x_dy - x_dy_corr + y_dx - y_dx_corr + cross)
 
-def product_rule_residual_path(
-    x_case: DriveSpec, y_case: DriveSpec, path: SamplePath, ctx: PhiContext
-) -> float:
-    return float(
-        product_rule_residuals(x_case, y_case, path.values[None, :], ctx, grid=path.grid)[0]
-    )
+    return _by_row_blocks(w, block)
 
 
 # ---------------------------------------------------------------------------
 # composition (time-dependent field) residual
 # ---------------------------------------------------------------------------
-
-# Admissibility conditions of the composition identity, recorded per case
-# and never enforced at runtime: the registry cases are designed to satisfy
-# them (or to violate one deliberately, which none currently does).
-REGULARITY_CONDITIONS: tuple[str, ...] = (
-    "field_twice_differentiable_in_x",
-    "field_derivatives_continuous_in_t",
-    "field_evolution_decomposes_as_drift_plus_noise",
-    "field_drift_locally_integrable",
-    "field_noise_coefficient_differentiable",
-    "process_decomposes_as_drift_plus_noise",
-    "process_drift_fourth_moment_integrable",
-    "process_noise_coefficient_fourth_moment_integrable",
-    "process_phi_derivative_exists",
-    "phi_derivative_jointly_integrable",
-    "second_derivative_polynomial_growth",
-    "noise_coefficient_phi_derivative_integrable",
-    "composite_noise_term_integrable",
-    "cross_phi_terms_integrable",
-    "left_endpoint_sums_converge_in_probability",
-    "moment_bounds_uniform_on_horizon",
-)
 
 
 @dataclass(frozen=True)
@@ -221,7 +241,6 @@ class WentzellCase:
     h: CylinderFunction
     drive: DriveSpec
     label: str = ""
-    regularity: dict[str, str] | None = None
 
     @classmethod
     def from_polys(
@@ -231,7 +250,6 @@ class WentzellCase:
         h_coeffs,
         drive: DriveSpec,
         label: str = "",
-        regularity: dict[str, str] | None = None,
     ) -> "WentzellCase":
         for name, c in (("f0", f0_coeffs), ("g", g_coeffs), ("h", h_coeffs)):
             if len(list(c)) > 3:
@@ -244,7 +262,6 @@ class WentzellCase:
             h=CylinderFunction.polynomial(h_coeffs),
             drive=drive,
             label=label,
-            regularity=regularity,
         )
 
     def field_value(self, t, w_t, x):
@@ -267,56 +284,57 @@ def wentzell_residuals(
     w, g = _as_matrix(paths, grid)
     t = g.points
     dt = g.spacings
-    dw = np.diff(w, axis=1)
-    a_lv = _cell_levels(case.drive.drift, g)
-    b_lv = _cell_levels(case.drive.diffusion, g)
-    x = drive_values(case.drive, w, g)
-    rect = rect_weight_matrix(t, ctx)
-    gx = _lower_kernel(b_lv, rect)
+    drive = case.drive
+    a_lv = _cell_levels(drive.drift, g)
+    b_lv = _cell_levels(drive.diffusion, g)
+    gx = _lower_kernel(b_lv, t, ctx)
     half_cell = 0.5 * dt ** (2.0 * ctx.h)
     dx_diag = gx + b_lv * half_cell
     lc = left_corrections(g, ctx)
     diag_cells = diagonal_cell_integrals(g, ctx)
+    a_dt = a_lv * dt
+    b_dx_diag = b_lv * dx_diag
+    b_cross = b_lv * diag_cells
+    tl, tr = t[:-1], t[1:]
+    start = case.field_value(0.0, 0.0, drive.x0)
 
-    tl = t[:-1]
-    wl = w[:, :-1]
-    xl = x[:, :-1]
-    f_dx = case.field_dx(tl, wl, xl)
-    f_dxx = case.field_dxx(tl, wl, xl)
-    h_val = case.h.value(xl)
-    h_deriv = case.h.deriv(xl)
-    g_val = case.g.value(xl)
+    def block(wb: np.ndarray) -> np.ndarray:
+        dw = np.diff(wb, axis=1)
+        x = _drive_values(drive.x0, a_lv, b_lv, dt, dw)
+        wl = wb[:, :-1]
+        xl = x[:, :-1]
+        f_dx = case.field_dx(tl, wl, xl)
+        f_dxx = case.field_dxx(tl, wl, xl)
+        h_val = case.h.value(xl)
+        h_deriv = case.h.deriv(xl)
+        g_val = case.g.value(xl)
 
-    lhs = case.field_value(t[-1], w[:, -1], x[:, -1]) - case.field_value(
-        0.0, 0.0, case.drive.x0
-    )
-    # Ordinary dt integrals use the trapezoid rule (exact for the affine
-    # family); only the dW sums are pinned to left endpoints.
-    f_dx_right = case.field_dx(t[1:], w[:, 1:], x[:, 1:])
-    g_right = case.g.value(x[:, 1:])
-    drift_term = (0.5 * (f_dx + f_dx_right) * (a_lv * dt)).sum(axis=1)
-    noise_term = (f_dx * (b_lv * dw)).sum(axis=1)
-    noise_corr = (b_lv * (h_deriv * lc + f_dxx * gx)).sum(axis=1)
-    curvature_term = (f_dxx * (b_lv * dx_diag)).sum(axis=1)
-    field_drift_term = (0.5 * (g_val + g_right) * dt).sum(axis=1)
-    field_noise_term = (h_val * dw).sum(axis=1)
-    field_noise_corr = (h_deriv * gx).sum(axis=1)
-    cross_field_term = (h_deriv * (b_lv * diag_cells)).sum(axis=1)
-    cross_process_term = (h_deriv * dx_diag).sum(axis=1)
-    rhs = (
-        drift_term
-        + (noise_term - noise_corr)
-        + curvature_term
-        + field_drift_term
-        + (field_noise_term - field_noise_corr)
-        + cross_field_term
-        + cross_process_term
-    )
-    return lhs - rhs
+        lhs = case.field_value(t[-1], wb[:, -1], x[:, -1]) - start
+        # Ordinary dt integrals use the trapezoid rule (exact for the affine
+        # family); only the dW sums are pinned to left endpoints.
+        f_dx_right = case.field_dx(tr, wb[:, 1:], x[:, 1:])
+        g_right = case.g.value(x[:, 1:])
+        drift_term = (0.5 * (f_dx + f_dx_right) * a_dt).sum(axis=1)
+        noise_term = (f_dx * (b_lv * dw)).sum(axis=1)
+        noise_corr = (b_lv * (h_deriv * lc + f_dxx * gx)).sum(axis=1)
+        curvature_term = (f_dxx * b_dx_diag).sum(axis=1)
+        field_drift_term = (0.5 * (g_val + g_right) * dt).sum(axis=1)
+        field_noise_term = (h_val * dw).sum(axis=1)
+        field_noise_corr = (h_deriv * gx).sum(axis=1)
+        cross_field_term = (h_deriv * b_cross).sum(axis=1)
+        cross_process_term = (h_deriv * dx_diag).sum(axis=1)
+        rhs = (
+            drift_term
+            + (noise_term - noise_corr)
+            + curvature_term
+            + field_drift_term
+            + (field_noise_term - field_noise_corr)
+            + cross_field_term
+            + cross_process_term
+        )
+        return lhs - rhs
 
-
-def wentzell_residual_path(case: WentzellCase, path: SamplePath, ctx: PhiContext) -> float:
-    return float(wentzell_residuals(case, path.values[None, :], ctx, grid=path.grid)[0])
+    return _by_row_blocks(w, block)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +371,7 @@ def girsanov_check(
     horizon = grd.horizon
     shift = drift_shift_at(g_fn, horizon, ctx)
     levels = _step_levels_on_path(g_fn, grd)
-    norm_sq = phi_norm_sq(g_fn, ctx)
-    if norm_sq > 700.0:
-        raise ValueError("||g||^2_phi exceeds the exponential overflow guard")
+    norm_sq = _guarded_norm_sq(g_fn, ctx)
     integrals = (levels * np.diff(w, axis=1)).sum(axis=1)
     eps = np.exp(integrals - 0.5 * norm_sq)
     w_t = w[:, -1]
@@ -374,7 +390,7 @@ def exponential_mean_report(
     """Sample mean of the exponential functional against its exact mean 1."""
     w, grd = _as_matrix(paths, grid)
     levels = _step_levels_on_path(g_fn, grd)
-    norm_sq = phi_norm_sq(g_fn, ctx)
+    norm_sq = _guarded_norm_sq(g_fn, ctx)
     integrals = (levels * np.diff(w, axis=1)).sum(axis=1)
     eps = np.exp(integrals - 0.5 * norm_sq)
     return MonteCarloReport.from_samples("exponential-mean-one", eps, 1.0)
@@ -466,13 +482,19 @@ def expectation_identity_check(
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """RMS residual per grid size plus the fitted log-log slope."""
+    """RMS residual per grid size plus the fitted log-log slope.
+
+    A ladder whose every rung is at rounding level (rms <= EXACT_REL_TOL,
+    against residual terms of order one) is exact: the identity holds per
+    path on every grid, there is no rate to fit, and slope is nan.
+    """
 
     residual_name: str
     grid_sizes: tuple[int, ...]
     rms: tuple[float, ...]
     slope: float
     n_paths: int
+    exact: bool
 
     def rows(self) -> list[tuple[int, float]]:
         return list(zip(self.grid_sizes, self.rms))
@@ -530,7 +552,8 @@ def convergence_study(
         sub_grid = TimeGrid(fine_grid.points[::stride])
         res = _dispatch_residuals(residual_name, case, sub, ctx, sub_grid)
         rms.append(math.sqrt(fsum(res * res) / res.size))
-    slope = float(np.polyfit(np.log(sizes), np.log(rms), 1)[0])
+    exact = all(r <= EXACT_REL_TOL for r in rms)
+    slope = math.nan if exact else float(np.polyfit(np.log(sizes), np.log(rms), 1)[0])
     name = residual_name if not getattr(case, "label", "") else f"{residual_name}:{case.label}"
     return ConvergenceTable(
         residual_name=name,
@@ -538,6 +561,7 @@ def convergence_study(
         rms=tuple(rms),
         slope=slope,
         n_paths=n_paths,
+        exact=exact,
     )
 
 
@@ -602,32 +626,26 @@ def product_rule_case_registry(
 
 
 def wentzell_case_registry(horizon: float = 1.0) -> dict[str, WentzellCase]:
-    sat = {name: "satisfied" for name in REGULARITY_CONDITIONS}
-    na = {name: "n/a" for name in REGULARITY_CONDITIONS}
     return {
         "xw": WentzellCase.from_polys(
             [0.0], [0.0], [0.0, 1.0],
             DriveSpec(x0=0.0, drift=0.0, diffusion=1.0, label="noise"),
             label="xw",
-            regularity=sat,
         ),
         "deterministic": WentzellCase.from_polys(
             [1.0, 1.0, 0.5], [0.0], [0.0],
             DriveSpec(x0=0.3, drift=0.7, diffusion=0.0, label="ramp"),
             label="deterministic",
-            regularity=na | {"field_twice_differentiable_in_x": "satisfied"},
         ),
         "constant": WentzellCase.from_polys(
             [2.5], [0.0], [0.0],
             DriveSpec(x0=0.0, drift=1.0, diffusion=1.0, label="mixed"),
             label="constant",
-            regularity=sat,
         ),
         "quad": WentzellCase.from_polys(
             [0.0, 0.0, 1.0], [0.5, 0.0, 0.0], [0.0, 1.0, 0.0],
             DriveSpec(x0=0.1, drift=0.2, diffusion=0.8, label="affine"),
             label="quad",
-            regularity=sat,
         ),
     }
 

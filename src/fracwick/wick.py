@@ -113,13 +113,19 @@ def wick_integral_cylinder(
     return WickIntegralResult(value=raw - corr, riemann_part=raw, correction_part=corr)
 
 
-def exponential_functional(f: StepFunction, path: SamplePath, ctx: PhiContext) -> float:
-    """exp( integral of f dW - ||f||^2_phi / 2 ), mean-one by construction."""
+def _guarded_norm_sq(f: StepFunction, ctx: PhiContext) -> float:
+    """||f||^2_phi for an exponential functional; refused beyond MAX_NORM_SQ."""
     norm_sq = phi_norm_sq(f, ctx)
     if norm_sq > MAX_NORM_SQ:
         raise ValueError(
             f"||f||^2_phi = {norm_sq:.3e} exceeds the overflow guard {MAX_NORM_SQ}"
         )
+    return norm_sq
+
+
+def exponential_functional(f: StepFunction, path: SamplePath, ctx: PhiContext) -> float:
+    """exp( integral of f dW - ||f||^2_phi / 2 ), mean-one by construction."""
+    norm_sq = _guarded_norm_sq(f, ctx)
     return math.exp(wick_integral_deterministic(f, path) - 0.5 * norm_sq)
 
 

@@ -1,0 +1,197 @@
+"""Residual kernels, row-blocked residual arithmetic, ladders, guards and
+the configuration errors the CLI turns into exit status 2."""
+
+import csv
+import tracemalloc
+
+import numpy as np
+import pytest
+import yaml
+
+from fracwick import (
+    HurstParameter,
+    PhiContext,
+    StepFunction,
+    TimeGrid,
+    ensemble_values,
+    exponential_mean_report,
+    girsanov_check,
+    ito_case_registry,
+    ito_residuals,
+    product_rule_case_registry,
+    product_rule_residuals,
+    rect_weight_matrix,
+    wentzell_case_registry,
+    wentzell_residuals,
+)
+from fracwick import cli, verify
+from fracwick.functions import CylinderFunction
+from fracwick.wick import MAX_NORM_SQ, left_corrections
+
+HURSTS = (0.55, 0.7, 0.9)
+
+
+def _grids():
+    rng = np.random.default_rng(11)
+    steps = rng.uniform(0.2, 1.8, 48)
+    irregular = np.concatenate([[0.0], np.cumsum(steps) / steps.sum()])
+    return {"uniform": TimeGrid.uniform(48, 1.0), "irregular": TimeGrid(irregular)}
+
+
+def _levels(n):
+    one_jump = np.where(np.arange(n) < n // 3, 1.0, -0.4)
+    two_jumps = np.select([np.arange(n) < n // 4, np.arange(n) < 3 * n // 4], [1.3, 0.0], -0.7)
+    return {"constant": np.full(n, 0.8), "one-jump": one_jump, "two-jumps-zero": two_jumps}
+
+
+class TestLowerKernel:
+    @pytest.mark.parametrize("h", HURSTS)
+    @pytest.mark.parametrize("grid_name", ["uniform", "irregular"])
+    @pytest.mark.parametrize("levels_name", ["constant", "one-jump", "two-jumps-zero"])
+    def test_matches_dense_rectangle_sum(self, h, grid_name, levels_name):
+        ctx = PhiContext(HurstParameter(h))
+        t = _grids()[grid_name].points
+        b = _levels(t.size - 1)[levels_name]
+        dense = np.tril(rect_weight_matrix(t, ctx), -1) @ b
+        closed = verify._lower_kernel(b, t, ctx)
+        assert closed[0] == 0.0
+        np.testing.assert_allclose(closed, dense, rtol=0.0, atol=1e-15)
+
+    def test_constant_level_is_the_left_correction(self):
+        # for b = 1 the lower kernel integrates phi over cell i x [0, t_i]
+        ctx = PhiContext(HurstParameter(0.7))
+        grid = _grids()["irregular"]
+        g = verify._lower_kernel(np.ones(grid.n_intervals), grid.points, ctx)
+        np.testing.assert_allclose(g, left_corrections(grid, ctx), rtol=0.0, atol=1e-16)
+
+
+def _all_residuals(w, ctx, grid):
+    out = []
+    for case in ito_case_registry().values():
+        out.append(ito_residuals(case, w, ctx, grid=grid))
+    for x_case, y_case in product_rule_case_registry().values():
+        out.append(product_rule_residuals(x_case, y_case, w, ctx, grid=grid))
+    for case in wentzell_case_registry().values():
+        out.append(wentzell_residuals(case, w, ctx, grid=grid))
+    return out
+
+
+class TestRowBlocks:
+    GRID_N = 512
+    BLOCK = verify._BLOCK_CELLS // GRID_N
+
+    @pytest.fixture(scope="class")
+    def noise(self):
+        ctx = PhiContext(HurstParameter(0.7))
+        grid = TimeGrid.uniform(self.GRID_N, 1.0)
+        w = ensemble_values("circulant", grid, ctx.hurst, 17, 3 * self.BLOCK + 7)
+        return ctx, grid, w
+
+    @pytest.mark.parametrize("n_paths", [1, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 7])
+    def test_blocked_equals_single_block_bitwise(self, noise, n_paths, monkeypatch):
+        ctx, grid, w = noise
+        assert self.BLOCK > 1
+        blocked = _all_residuals(w[:n_paths], ctx, grid)
+        monkeypatch.setattr(verify, "_BLOCK_CELLS", 2**62)
+        whole = _all_residuals(w[:n_paths], ctx, grid)
+        for got, want in zip(blocked, whole):
+            assert got.shape == (n_paths,)
+            assert got.tobytes() == want.tobytes()
+
+    def test_strided_restriction_equals_single_block_bitwise(self, noise, monkeypatch):
+        # ladders pass every other column of the fine paths, not a copy
+        ctx, grid, w = noise
+        sub_grid = TimeGrid(grid.points[::2])
+        blocked = _all_residuals(w[:, ::2], ctx, sub_grid)
+        monkeypatch.setattr(verify, "_BLOCK_CELLS", 2**62)
+        whole = _all_residuals(w[:, ::2], ctx, sub_grid)
+        for got, want in zip(blocked, whole):
+            assert got.tobytes() == want.tobytes()
+
+    def test_x2_residual_is_quadratic_variation_defect(self, noise):
+        # f = x^2: the Wick and curvature kernels cancel, leaving
+        # sum dW^2 - sum dt^2H per path whatever the lower kernel is
+        ctx, grid, w = noise
+        res = ito_residuals(ito_case_registry()["x2"], w, ctx, grid=grid)
+        oracle = (np.diff(w, axis=1) ** 2).sum(axis=1) - (grid.spacings ** (2.0 * ctx.h)).sum()
+        np.testing.assert_allclose(res, oracle, rtol=0.0, atol=1e-13)
+
+    def test_no_dense_matrix_allocated(self):
+        ctx = PhiContext(HurstParameter(0.7))
+        n = 2048
+        grid = TimeGrid.uniform(n, 1.0)
+        w = ensemble_values("circulant", grid, ctx.hurst, 5, 64)
+        case = wentzell_case_registry()["quad"]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            wentzell_residuals(case, w, ctx, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, f"residual call allocated {peak / 2**20:.1f} MiB"
+
+
+class TestOverflowGuard:
+    @pytest.mark.parametrize("which", ["girsanov", "exponential-mean"])
+    def test_norm_beyond_guard_raises(self, which):
+        ctx = PhiContext(HurstParameter(0.7))
+        grid = TimeGrid.uniform(4, 1.0)
+        w = np.zeros((2, 5))
+        big = StepFunction.constant(30.0, 1.0)  # ||g||^2 = 900 R(1, 1) = 900
+        assert 900.0 > MAX_NORM_SQ
+        with pytest.raises(ValueError, match="overflow guard"):
+            if which == "girsanov":
+                girsanov_check(CylinderFunction.monomial(1), big, w, ctx, grid=grid)
+            else:
+                exponential_mean_report(big, w, ctx, grid=grid)
+
+
+def _run_cli(tmp_path, suite, config):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    return cli.main([suite, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
+
+def _report(tmp_path):
+    with open(tmp_path / "out" / "report.csv", newline="") as fh:
+        return {row["test_name"]: row for row in csv.DictReader(fh)}
+
+
+class TestConvergeVerdicts:
+    def test_long_memory_beyond_three_quarters_saturates_at_minus_one(self, tmp_path):
+        cfg = {"hurst": 0.9, "residual": "ito", "case": "x2", "n_paths": 200}
+        assert _run_cli(tmp_path, "converge", cfg) == 0
+        slope = _report(tmp_path)["converge:ito:x2:slope"]
+        assert float(slope["oracle"]) == -1.0
+        assert -1.15 < float(slope["estimate"]) < -0.85
+        assert slope["verdict"] == "pass"
+
+    def test_exact_ladder_passes(self, tmp_path):
+        cfg = {"residual": "wentzell", "case": "constant", "n_paths": 50, "plots": True}
+        assert _run_cli(tmp_path, "converge", cfg) == 0
+        rows = _report(tmp_path)
+        assert all(float(r["estimate"]) == 0.0 for n, r in rows.items() if ":n=" in n)
+        assert rows["converge:wentzell:constant:slope"]["verdict"] == "pass"
+
+
+class TestConfigErrors:
+    def test_single_path_is_a_config_error(self, tmp_path, capsys):
+        assert _run_cli(tmp_path, "verify-ito", {"n_paths": 1, "grid_n": 16}) == 2
+        assert "n_paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "suite, config, key",
+        [
+            ("verify-ito", {"cases": ["x2-step"]}, "grid_n"),
+            ("verify-product-rule", {}, "grid_n"),
+            ("isometry", {}, "grid_n"),
+            ("converge", {"case": "x2-step", "grid_sizes": [3, 9]}, "grid_sizes"),
+        ],
+    )
+    def test_odd_grid_with_halves_case_is_a_config_error(self, tmp_path, capsys, suite, config, key):
+        cfg = {"grid_n": 63, "n_paths": 20, **config}
+        assert _run_cli(tmp_path, suite, cfg) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
