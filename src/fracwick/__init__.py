@@ -26,13 +26,8 @@ from .fbm import (
     covariance_grid,
     empirical_covariance,
     ensemble_values,
-    generate_ensemble,
-    generate_path,
-    generate_path_cholesky,
-    generate_path_circulant,
-    generate_path_hosking,
 )
-from .functions import CylinderFunction, SpaceTimeFunction, gaussian_moment
+from .functions import CylinderFunction, SpaceTimeFunction
 from .grids import SamplePath, TimeGrid, write_ensemble_csv
 from .mc import MonteCarloReport
 from .phicalc import (
@@ -64,7 +59,6 @@ from .verify import (
     ItoCase,
     WentzellCase,
     convergence_study,
-    expectation_identity_check,
     exponential_mean_report,
     girsanov_case_registry,
     girsanov_check,
@@ -120,16 +114,9 @@ __all__ = [
     "covariance_grid",
     "empirical_covariance",
     "ensemble_values",
-    "expectation_identity_check",
     "exponential_mean_report",
     "exponential_functional",
     "fou_oracle",
-    "gaussian_moment",
-    "generate_ensemble",
-    "generate_path",
-    "generate_path_cholesky",
-    "generate_path_circulant",
-    "generate_path_hosking",
     "girsanov_case_registry",
     "girsanov_check",
     "inner_product_pc",

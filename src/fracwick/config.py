@@ -13,6 +13,8 @@ from typing import Any
 import yaml
 
 from .errors import ConfigError
+from .fbm import GENERATOR_NAMES
+from .sde import SOLVER_NAMES
 
 SUITE_NAMES = (
     "generate",
@@ -25,8 +27,6 @@ SUITE_NAMES = (
     "converge",
 )
 
-_GENERATOR_CHOICES = ("cholesky", "circulant", "hosking")
-_SOLVER_CHOICES = ("flow-euler", "flow-rk4", "direct-euler", "picard")
 _RESIDUAL_CHOICES = ("ito", "product-rule", "wentzell")
 
 # key -> (python type, brief description); bool checked before int since
@@ -88,7 +88,7 @@ class ExperimentConfig:
     plots: bool = False
     n_paths: int = 2000
     grid_n: int = 256
-    generators: tuple[str, ...] = _GENERATOR_CHOICES
+    generators: tuple[str, ...] = GENERATOR_NAMES
     cases: tuple[str, ...] = ()
     sde: SdeBlock = field(default_factory=SdeBlock)
     solver: str = "flow-rk4"
@@ -167,8 +167,8 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
     if "generators" in vals:
         vals["generators"] = _scalar_list("generators", vals["generators"], str)
         for g in vals["generators"]:
-            if g not in _GENERATOR_CHOICES:
-                raise ConfigError(f"unknown generator {g!r}; choose from {_GENERATOR_CHOICES}")
+            if g not in GENERATOR_NAMES:
+                raise ConfigError(f"unknown generator {g!r}; choose from {GENERATOR_NAMES}")
         if not vals["generators"]:
             raise ConfigError("generators must not be empty")
     if "cases" in vals:
@@ -192,8 +192,8 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
         raise ConfigError("n_paths must be at least 2 (every check needs a standard error)")
     if cfg.grid_n < 1:
         raise ConfigError("grid_n must be at least 1")
-    if cfg.solver not in _SOLVER_CHOICES:
-        raise ConfigError(f"unknown solver {cfg.solver!r}; choose from {_SOLVER_CHOICES}")
+    if cfg.solver not in SOLVER_NAMES:
+        raise ConfigError(f"unknown solver {cfg.solver!r}; choose from {SOLVER_NAMES}")
     if cfg.residual not in _RESIDUAL_CHOICES:
         raise ConfigError(f"unknown residual {cfg.residual!r}; choose from {_RESIDUAL_CHOICES}")
     if cfg.tol <= 0:

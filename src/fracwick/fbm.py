@@ -2,8 +2,9 @@
 
 Three samplers, one law: dense Cholesky (any grid), circulant embedding
 (uniform grids, O(n log n)), and the Durbin-Levinson recursion (uniform
-grids, O(n^2) reference). All consume deterministic replication streams
-from `rng.SeedSpec`.
+grids, O(n^2) reference). They share one batched core, `ensemble_values`,
+which puts replication i in row i, drawn from stream i of `rng.SeedSpec`;
+a single path is a one-row slice of an ensemble.
 """
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmbeddingFailureError, GridMismatchError, SingularCovarianceError
-from .grids import SamplePath, TimeGrid
+from .errors import EmbeddingFailureError, SingularCovarianceError
+from .grids import TimeGrid
 from .rng import SeedSpec
 
 GENERATOR_NAMES = ("cholesky", "circulant", "hosking")
@@ -142,25 +143,22 @@ def circulant_eigenvalues(n: int, h: HurstParameter) -> np.ndarray:
 
 
 def _circulant_fgn(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Map one block (or a matrix of blocks) of 2m standard normals to fGn.
+    """Map a matrix of blocks (rows) of 2m standard normals to fGn rows.
 
     Draw layout per block of length 2m: z[0] feeds frequency 0, z[2k-1] and
     z[2k] feed frequency k for 1 <= k <= m-1, z[2m-1] feeds frequency m.
-    Returns the first m noise values (rows when z is a matrix).
+    Returns the first m noise values of each row.
     """
-    single = z.ndim == 1
-    zz = np.atleast_2d(z)
     big_m = lam.size
     m = big_m // 2
-    a = np.zeros((zz.shape[0], big_m), dtype=complex)
-    a[:, 0] = np.sqrt(lam[0] / big_m) * zz[:, 0]
-    a[:, m] = np.sqrt(lam[m] / big_m) * zz[:, 2 * m - 1]
+    a = np.zeros((z.shape[0], big_m), dtype=complex)
+    a[:, 0] = np.sqrt(lam[0] / big_m) * z[:, 0]
+    a[:, m] = np.sqrt(lam[m] / big_m) * z[:, 2 * m - 1]
     k = np.arange(1, m)
     scale = np.sqrt(lam[k] / (2.0 * big_m))
-    a[:, k] = scale * (zz[:, 2 * k - 1] + 1j * zz[:, 2 * k])
+    a[:, k] = scale * (z[:, 2 * k - 1] + 1j * z[:, 2 * k])
     a[:, big_m - k] = np.conj(a[:, k])
-    noise = np.fft.fft(a, axis=1).real[:, :m]
-    return noise[0] if single else noise
+    return np.fft.fft(a, axis=1).real[:, :m]
 
 
 def hosking_coefficients(n: int, h: HurstParameter) -> tuple[list[np.ndarray], np.ndarray]:
@@ -189,76 +187,21 @@ def hosking_coefficients(n: int, h: HurstParameter) -> tuple[list[np.ndarray], n
 
 
 def _hosking_fgn(phis: list[np.ndarray], v: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Map standard normals (last axis = time) to unit-spacing fGn."""
-    single = z.ndim == 1
-    zz = np.atleast_2d(z)
+    """Map a matrix of standard normals (rows = paths, columns = time) to
+    unit-spacing fGn rows."""
     n = v.size
-    x = np.empty_like(zz)
+    x = np.empty_like(z)
     sig = np.sqrt(v)
-    x[:, 0] = sig[0] * zz[:, 0]
+    x[:, 0] = sig[0] * z[:, 0]
     for k in range(1, n):
         # phis[k] weights the history most-recent-first
-        x[:, k] = x[:, k - 1 :: -1] @ phis[k] + sig[k] * zz[:, k]
-    return x[0] if single else x
+        x[:, k] = x[:, k - 1 :: -1] @ phis[k] + sig[k] * z[:, k]
+    return x
 
 
 # ---------------------------------------------------------------------------
-# generators
+# the sampler
 # ---------------------------------------------------------------------------
-
-
-def _require_uniform(grid: TimeGrid, who: str) -> tuple[int, float]:
-    if not grid.is_uniform():
-        raise ValueError(f"{who} generator requires a uniform grid")
-    return grid.n_intervals, grid.horizon
-
-
-def generate_path_cholesky(grid: TimeGrid, h: HurstParameter, seed: SeedSpec) -> SamplePath:
-    """Exact sampler on an arbitrary grid via the covariance Cholesky factor."""
-    cov = CovarianceMatrix(grid, h)
-    return _cholesky_path(cov, seed)
-
-
-def _cholesky_path(cov: CovarianceMatrix, seed: SeedSpec) -> SamplePath:
-    z = seed.generator().standard_normal(cov.grid.n_intervals)
-    w = cov.cholesky() @ z
-    values = np.concatenate([[0.0], w])
-    return SamplePath(cov.grid, values, label=f"cholesky/{seed.master_seed}/{seed.stream_index}")
-
-
-def generate_path_circulant(grid: TimeGrid, h: HurstParameter, seed: SeedSpec) -> SamplePath:
-    """Exact sampler on uniform grids via circulant embedding of the noise."""
-    n, horizon = _require_uniform(grid, "circulant")
-    lam = circulant_eigenvalues(n, h)
-    z = seed.generator().standard_normal(2 * n)
-    noise = _circulant_fgn(lam, z) * (horizon / n) ** h.value
-    values = np.concatenate([[0.0], np.cumsum(noise)])
-    return SamplePath(grid, values, label=f"circulant/{seed.master_seed}/{seed.stream_index}")
-
-
-def generate_path_hosking(grid: TimeGrid, h: HurstParameter, seed: SeedSpec) -> SamplePath:
-    """Exact O(n^2) reference sampler via the Durbin-Levinson recursion."""
-    n, horizon = _require_uniform(grid, "hosking")
-    phis, v = hosking_coefficients(n, h)
-    z = seed.generator().standard_normal(n)
-    noise = _hosking_fgn(phis, v, z) * (horizon / n) ** h.value
-    values = np.concatenate([[0.0], np.cumsum(noise)])
-    return SamplePath(grid, values, label=f"hosking/{seed.master_seed}/{seed.stream_index}")
-
-
-_GENERATORS = {
-    "cholesky": generate_path_cholesky,
-    "circulant": generate_path_circulant,
-    "hosking": generate_path_hosking,
-}
-
-
-def generate_path(method: str, grid: TimeGrid, h: HurstParameter, seed: SeedSpec) -> SamplePath:
-    try:
-        gen = _GENERATORS[method]
-    except KeyError:
-        raise ValueError(f"unknown generator {method!r}; pick one of {GENERATOR_NAMES}")
-    return gen(grid, h, seed)
 
 
 def _draw_block_matrix(master_seed: int, n_paths: int, block: int) -> np.ndarray:
@@ -278,66 +221,45 @@ def ensemble_values(
 ) -> np.ndarray:
     """Matrix of n_paths trajectories (rows), replication i on stream i.
 
-    Same law and same per-stream draws as the single-path generators; the
-    linear-algebra transform is batched, so agreement with the per-path ops
-    is to float accumulation order, not bitwise.
+    The only sampler; a single path is a one-row slice. Row i is drawn
+    from stream i alone, so the first k rows of a larger ensemble are the
+    k-path ensemble: bit for bit for circulant and hosking, which transform
+    row by row, and to rounding for cholesky, whose one matrix product may
+    accumulate in an order the BLAS picks from the row count. Cholesky
+    maps n normals per stream through the covariance factor (any grid);
+    circulant draws 2n per stream and hosking n, and both sum the
+    resulting unit-spacing noise scaled by dt^H (uniform grids only).
     """
+    if method not in GENERATOR_NAMES:
+        raise ValueError(f"unknown generator {method!r}; pick one of {GENERATOR_NAMES}")
     if n_paths < 1:
         raise ValueError("need at least one path")
     n = grid.n_intervals
     if method == "cholesky":
-        cov = CovarianceMatrix(grid, h)
-        chol = cov.cholesky()
-        z = _draw_block_matrix(master_seed, n_paths, n)
-        w = z @ chol.T
-        return np.concatenate([np.zeros((n_paths, 1)), w], axis=1)
-    if method == "circulant":
-        _, horizon = _require_uniform(grid, "circulant")
-        lam = circulant_eigenvalues(n, h)
-        z = _draw_block_matrix(master_seed, n_paths, 2 * n)
-        noise = _circulant_fgn(lam, z) * (horizon / n) ** h.value
-        return np.concatenate([np.zeros((n_paths, 1)), np.cumsum(noise, axis=1)], axis=1)
-    if method == "hosking":
-        _, horizon = _require_uniform(grid, "hosking")
-        phis, v = hosking_coefficients(n, h)
-        z = _draw_block_matrix(master_seed, n_paths, n)
-        noise = _hosking_fgn(phis, v, z) * (horizon / n) ** h.value
-        return np.concatenate([np.zeros((n_paths, 1)), np.cumsum(noise, axis=1)], axis=1)
-    raise ValueError(f"unknown generator {method!r}; pick one of {GENERATOR_NAMES}")
+        chol = CovarianceMatrix(grid, h).cholesky()
+        w = _draw_block_matrix(master_seed, n_paths, n) @ chol.T
+    else:
+        if not grid.is_uniform():
+            raise ValueError(f"{method} generator requires a uniform grid")
+        if method == "circulant":
+            lam = circulant_eigenvalues(n, h)
+            noise = _circulant_fgn(lam, _draw_block_matrix(master_seed, n_paths, 2 * n))
+        else:
+            phis, v = hosking_coefficients(n, h)
+            noise = _hosking_fgn(phis, v, _draw_block_matrix(master_seed, n_paths, n))
+        w = np.cumsum(noise * (grid.horizon / n) ** h.value, axis=1)
+    return np.concatenate([np.zeros((n_paths, 1)), w], axis=1)
 
 
-def generate_ensemble(
-    method: str,
-    grid: TimeGrid,
-    h: HurstParameter,
-    master_seed: int,
-    n_paths: int,
-) -> list[SamplePath]:
-    vals = ensemble_values(method, grid, h, master_seed, n_paths)
-    return [
-        SamplePath(grid, vals[i], label=f"{method}/{master_seed}/{i}")
-        for i in range(n_paths)
-    ]
-
-
-def empirical_covariance(values: np.ndarray | list[SamplePath]) -> tuple[np.ndarray, np.ndarray]:
+def empirical_covariance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise sample covariance E[W_i W_j] over t_1..t_n with jackknife stderr.
 
-    Accepts an ensemble matrix (rows = paths, columns = grid points incl. t_0)
-    or a list of same-grid SamplePaths. The estimator is a plain mean of
-    products, for which the delete-one jackknife variance reduces to
-    s^2 / m; implemented in that reduced (vectorized) form.
+    values is an ensemble matrix (rows = paths, columns = grid points incl.
+    t_0). The estimator is a plain mean of products, for which the
+    delete-one jackknife variance reduces to s^2 / m; implemented in that
+    reduced (vectorized) form.
     """
-    if isinstance(values, list):
-        if not values:
-            raise ValueError("empty ensemble")
-        grid = values[0].grid
-        for p in values[1:]:
-            if p.grid != grid:
-                raise GridMismatchError("ensemble paths must share one grid")
-        mat = np.stack([p.values for p in values])
-    else:
-        mat = np.asarray(values, dtype=float)
+    mat = np.asarray(values, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 2:
         raise ValueError("need a (n_paths >= 2, n_points) value matrix")
     v = mat[:, 1:]

@@ -1,10 +1,10 @@
 """Closed symbolic families of test functions with exact derivatives.
 
 Two families: one-variable cylinder integrands h(x) (polynomials up to
-degree 4, exp(ax), sin(ax), cos(ax), and linear combinations thereof), and
-space-time fields f(s, x) (bivariate polynomials with time-polynomial
-coefficients, plus the same x-only transcendentals). Derivatives are exact
-by construction; a finite-difference cross-check lives in the test suite.
+degree 4, exp(ax), sin(ax), cos(ax)), and space-time fields f(s, x)
+(bivariate polynomials with time-polynomial coefficients, plus the same
+x-only transcendentals). Derivatives are exact by construction; a
+finite-difference cross-check lives in the test suite.
 """
 from __future__ import annotations
 
@@ -90,21 +90,6 @@ class CylinderFunction:
             description=f"cos({a:g}x)",
         )
 
-    @classmethod
-    def combination(cls, weights, functions) -> "CylinderFunction":
-        """Exact linear combination sum_k w_k f_k of family members."""
-        w = [float(v) for v in weights]
-        fs = list(functions)
-        if len(w) != len(fs):
-            raise ValueError("one weight per function")
-        desc = " + ".join(f"{wk:g}*{fk.description}" for wk, fk in zip(w, fs))
-        return cls(
-            value=lambda x: sum(wk * fk.value(x) for wk, fk in zip(w, fs)),
-            deriv=lambda x: sum(wk * fk.deriv(x) for wk, fk in zip(w, fs)),
-            deriv2=lambda x: sum(wk * fk.deriv2(x) for wk, fk in zip(w, fs)),
-            description=desc,
-        )
-
 
 @dataclass(frozen=True)
 class SpaceTimeFunction:
@@ -173,16 +158,3 @@ class SpaceTimeFunction:
     def dt_cell_integral(self, t0: Array, t1: Array, x: Array) -> Array:
         """Exact integral of df/ds over s in [t0, t1] with x frozen."""
         return self.value(t1, x) - self.value(t0, x)
-
-
-def gaussian_moment(k: int, variance: float) -> float:
-    """E[Z^k] for Z ~ N(0, variance): 0 for odd k, (k-1)!! var^(k/2) even."""
-    if k < 0:
-        raise ValueError("moment order must be >= 0")
-    if k % 2 == 1:
-        return 0.0
-    half = k // 2
-    double_fact = 1.0
-    for j in range(1, k, 2):
-        double_fact *= j
-    return double_fact * variance**half

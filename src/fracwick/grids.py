@@ -132,16 +132,13 @@ class SamplePath:
         return cls(TimeGrid(np.array(ts)), np.array(vs), label=label)
 
 
-def write_ensemble_csv(paths: list[SamplePath], out_path: str) -> None:
-    """Long-format CSV (replication, t, value) for a list of same-grid paths."""
-    if not paths:
-        raise ValueError("empty ensemble")
-    grid = paths[0].grid
+def write_ensemble_csv(grid: TimeGrid, values: np.ndarray, out_path: str) -> None:
+    """Long-format CSV (replication, t, value) of an ensemble matrix on grid."""
+    if values.ndim != 2 or values.shape[1] != grid.points.size:
+        raise GridMismatchError("ensemble rows need one value per grid point")
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["replication", "t", "value"])
-        for k, p in enumerate(paths):
-            if p.grid != grid:
-                raise GridMismatchError("ensemble paths must share one grid")
-            for t, v in zip(p.grid.points, p.values):
+        for k, row in enumerate(values):
+            for t, v in zip(grid.points, row):
                 writer.writerow([k, format_float(t), format_float(v)])

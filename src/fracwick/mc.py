@@ -32,7 +32,12 @@ def fmean(values: np.ndarray) -> float:
 
 
 def sample_stderr(values: np.ndarray) -> float:
-    """Standard error of the sample mean (ddof = 1)."""
+    """Standard error of the sample mean (ddof = 1).
+
+    This is also the delete-one jackknife stderr of the mean, whose
+    variance collapses algebraically to s^2/m (a property test checks it
+    against an explicit delete-one loop).
+    """
     v = np.asarray(values, dtype=float).ravel()
     m = v.size
     if m < 2:
@@ -40,16 +45,6 @@ def sample_stderr(values: np.ndarray) -> float:
     mu = fmean(v)
     var = fsum((v - mu) ** 2) / (m - 1)
     return math.sqrt(var / m)
-
-
-def jackknife_stderr(values: np.ndarray) -> float:
-    """Delete-one jackknife stderr of the sample mean.
-
-    For the mean the jackknife variance collapses algebraically to s^2/m;
-    evaluated in that reduced form (a property test checks it against an
-    explicit delete-one loop).
-    """
-    return sample_stderr(values)
 
 
 def variance_stderr(values: np.ndarray) -> float:

@@ -46,13 +46,3 @@ class SeedSpec:
             entropy=int(self.master_seed), spawn_key=(int(self.stream_index),)
         )
         return np.random.Generator(np.random.Philox(seq))
-
-    def stream(self, stream_index: int) -> "SeedSpec":
-        """Sibling spec with the same master seed and a new stream index."""
-        return SeedSpec(self.master_seed, stream_index)
-
-
-def stream_generators(master_seed: int, n_streams: int, base: int = 0):
-    """Yield ``n_streams`` generators for replications base..base+n_streams-1."""
-    for i in range(base, base + n_streams):
-        yield SeedSpec(master_seed, i).generator()

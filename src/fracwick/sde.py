@@ -30,8 +30,7 @@ class SdeSpec:
     """dX = b(t, X) dt + sigma dW with declared regularity constants.
 
     The drift callable must be vectorized in x. lipschitz and growth are
-    declared by the caller, never inferred; `probe_constants` spot-checks
-    them on random samples for debugging.
+    declared by the caller, never inferred.
     """
 
     drift: Callable[[float, np.ndarray], np.ndarray]
@@ -48,33 +47,6 @@ class SdeSpec:
                 raise ValueError(f"{name} must be finite")
         if self.lipschitz < 0 or self.growth < 0:
             raise ValueError("declared constants must be nonnegative")
-
-    def probe_constants(
-        self,
-        rng: np.random.Generator,
-        n_samples: int = 256,
-        t_max: float = 1.0,
-        x_max: float = 10.0,
-    ) -> list[str]:
-        """Random spot checks of the declared Lipschitz/growth constants."""
-        violations: list[str] = []
-        ts = rng.uniform(0.0, t_max, n_samples)
-        xs = rng.uniform(-x_max, x_max, n_samples)
-        ys = rng.uniform(-x_max, x_max, n_samples)
-        slack = 1.0 + 1e-9
-        for t, x, y in zip(ts, xs, ys):
-            bx = float(self.drift(t, np.asarray(x)))
-            by = float(self.drift(t, np.asarray(y)))
-            if abs(bx - by) > self.lipschitz * abs(x - y) * slack:
-                violations.append(
-                    f"lipschitz violated at t={t:.4g}: |b(x)-b(y)|="
-                    f"{abs(bx - by):.4g} > L|x-y|={self.lipschitz * abs(x - y):.4g}"
-                )
-            if abs(bx) > self.growth * (1.0 + abs(x)) * slack:
-                violations.append(
-                    f"growth violated at t={t:.4g}, x={x:.4g}: |b|={abs(bx):.4g}"
-                )
-        return violations
 
 
 def make_fou(lam: float, sigma: float, x0: float) -> SdeSpec:

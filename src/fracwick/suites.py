@@ -19,20 +19,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import svgplot
+from . import __version__, svgplot
 from .config import ExperimentConfig
 from .errors import ConfigError, GridMismatchError
-from .fbm import (
-    HurstParameter,
-    empirical_covariance,
-    ensemble_values,
-    generate_ensemble,
-    generate_path,
-)
-from .grids import TimeGrid, format_float, write_ensemble_csv
+from .fbm import HurstParameter, empirical_covariance, ensemble_values
+from .grids import SamplePath, TimeGrid, format_float, write_ensemble_csv
 from .mc import MonteCarloReport
 from .phicalc import PhiContext
-from .rng import SeedSpec
 from .sde import fou_oracle, make_fou, sde_mc_stats, solve_direct_euler, solve_flow_transform, solve_picard
 from .stepfn import StepFunction
 from .verify import (
@@ -50,8 +43,6 @@ from .verify import (
 )
 from .wick import isometry_check
 from .functions import CylinderFunction
-
-__version__ = "0.1.0"
 
 REPORT_HEADER = [
     "test_name",
@@ -195,9 +186,8 @@ def _suite_generate(cfg: ExperimentConfig, outdir: str):
                 cfg.grid_n,
             ),
         ]
-        head = generate_ensemble(gen, grid, h, cfg.master_seed, min(cfg.n_paths, _MAX_CSV_PATHS))
         csv_name = f"paths_{gen}.csv"
-        write_ensemble_csv(head, os.path.join(outdir, csv_name))
+        write_ensemble_csv(grid, vals[:_MAX_CSV_PATHS], os.path.join(outdir, csv_name))
         artifacts = [csv_name]
         if cfg.plots:
             cov, _ = empirical_covariance(vals)
@@ -359,7 +349,7 @@ def _suite_solve_sde(cfg: ExperimentConfig, outdir: str):
     )
     rows = [ReportRow.from_report(r, cfg.grid_n) for r in reports]
 
-    noise = generate_path("circulant", grid, h, SeedSpec(cfg.master_seed, 0))
+    noise = SamplePath(grid, ensemble_values("circulant", grid, h, cfg.master_seed, 1)[0])
     if cfg.solver == "picard":
         result = solve_picard(spec, noise, tol=cfg.tol)
     elif cfg.solver == "direct-euler":

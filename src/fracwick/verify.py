@@ -20,15 +20,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridMismatchError, UnsupportedCaseError
+from .errors import UnsupportedCaseError
 from .fbm import covariance, ensemble_values
 from .functions import CylinderFunction, SpaceTimeFunction
-from .grids import SamplePath, TimeGrid
+from .grids import TimeGrid
 from .mc import EXACT_REL_TOL, MonteCarloReport, fsum
 from .phicalc import PhiContext
 from .stepfn import StepFunction
 from .wick import (
-    _as_matrix,
     _guarded_norm_sq,
     _step_levels_on_path,
     diagonal_cell_integrals,
@@ -131,19 +130,13 @@ class ItoCase:
     label: str = ""
 
 
-def ito_residuals(
-    case: ItoCase,
-    paths: list[SamplePath] | np.ndarray,
-    ctx: PhiContext,
-    grid: TimeGrid | None = None,
-) -> np.ndarray:
+def ito_residuals(case: ItoCase, w: np.ndarray, ctx: PhiContext, grid: TimeGrid) -> np.ndarray:
     """Per-path residual of the change-of-variable identity."""
-    w, g = _as_matrix(paths, grid)
     f = case.f
-    t = g.points
-    a_lv = np.ones(g.n_intervals) if case.a is None else _step_levels_on_path(case.a, g)
+    t = grid.points
+    a_lv = np.ones(grid.n_intervals) if case.a is None else _step_levels_on_path(case.a, grid)
     g_kernel = _lower_kernel(a_lv, t, ctx)
-    half_cell = 0.5 * g.spacings ** (2.0 * ctx.h)
+    half_cell = 0.5 * grid.spacings ** (2.0 * ctx.h)
     diag_cells = g_kernel + a_lv * half_cell
     wick_weights = a_lv * g_kernel
     curvature_weights = a_lv * diag_cells
@@ -182,16 +175,15 @@ def ito_residuals(
 def product_rule_residuals(
     x_case: DriveSpec,
     y_case: DriveSpec,
-    paths: list[SamplePath] | np.ndarray,
+    w: np.ndarray,
     ctx: PhiContext,
-    grid: TimeGrid | None = None,
+    grid: TimeGrid,
 ) -> np.ndarray:
     """Per-path residual of d(XY) = X dY + Y dX + cross phi-derivative terms."""
-    w, g = _as_matrix(paths, grid)
-    t = g.points
-    dt = g.spacings
-    ax, bx = _cell_levels(x_case.drift, g), _cell_levels(x_case.diffusion, g)
-    ay, by = _cell_levels(y_case.drift, g), _cell_levels(y_case.diffusion, g)
+    t = grid.points
+    dt = grid.spacings
+    ax, bx = _cell_levels(x_case.drift, grid), _cell_levels(x_case.diffusion, grid)
+    ay, by = _cell_levels(y_case.drift, grid), _cell_levels(y_case.diffusion, grid)
     gx = _lower_kernel(bx, t, ctx)
     gy = _lower_kernel(by, t, ctx)
     half_cell = 0.5 * dt ** (2.0 * ctx.h)
@@ -274,24 +266,18 @@ class WentzellCase:
         return self.f0.deriv2(x) + self.g.deriv2(x) * t + self.h.deriv2(x) * w_t
 
 
-def wentzell_residuals(
-    case: WentzellCase,
-    paths: list[SamplePath] | np.ndarray,
-    ctx: PhiContext,
-    grid: TimeGrid | None = None,
-) -> np.ndarray:
+def wentzell_residuals(case: WentzellCase, w: np.ndarray, ctx: PhiContext, grid: TimeGrid) -> np.ndarray:
     """Per-path residual of the eight-term composition identity."""
-    w, g = _as_matrix(paths, grid)
-    t = g.points
-    dt = g.spacings
+    t = grid.points
+    dt = grid.spacings
     drive = case.drive
-    a_lv = _cell_levels(drive.drift, g)
-    b_lv = _cell_levels(drive.diffusion, g)
+    a_lv = _cell_levels(drive.drift, grid)
+    b_lv = _cell_levels(drive.diffusion, grid)
     gx = _lower_kernel(b_lv, t, ctx)
     half_cell = 0.5 * dt ** (2.0 * ctx.h)
     dx_diag = gx + b_lv * half_cell
-    lc = left_corrections(g, ctx)
-    diag_cells = diagonal_cell_integrals(g, ctx)
+    lc = left_corrections(grid, ctx)
+    diag_cells = diagonal_cell_integrals(grid, ctx)
     a_dt = a_lv * dt
     b_dx_diag = b_lv * dx_diag
     b_cross = b_lv * diag_cells
@@ -356,9 +342,9 @@ def drift_shift_at(g_fn: StepFunction, t: float, ctx: PhiContext) -> float:
 def girsanov_check(
     fn: CylinderFunction,
     g_fn: StepFunction,
-    paths: list[SamplePath] | np.ndarray,
+    w: np.ndarray,
     ctx: PhiContext,
-    grid: TimeGrid | None = None,
+    grid: TimeGrid,
     name: str | None = None,
 ) -> MonteCarloReport:
     """Shifted-path expectation against the reweighted one, common noise.
@@ -367,10 +353,8 @@ def girsanov_check(
     kernel transform of g. Right: fn at W_T times the mean-one exponential
     of g. Reported as a paired z-score; g = 0 gives z = 0 exactly.
     """
-    w, grd = _as_matrix(paths, grid)
-    horizon = grd.horizon
-    shift = drift_shift_at(g_fn, horizon, ctx)
-    levels = _step_levels_on_path(g_fn, grd)
+    shift = drift_shift_at(g_fn, grid.horizon, ctx)
+    levels = _step_levels_on_path(g_fn, grid)
     norm_sq = _guarded_norm_sq(g_fn, ctx)
     integrals = (levels * np.diff(w, axis=1)).sum(axis=1)
     eps = np.exp(integrals - 0.5 * norm_sq)
@@ -382,97 +366,14 @@ def girsanov_check(
 
 
 def exponential_mean_report(
-    g_fn: StepFunction,
-    paths: list[SamplePath] | np.ndarray,
-    ctx: PhiContext,
-    grid: TimeGrid | None = None,
+    g_fn: StepFunction, w: np.ndarray, ctx: PhiContext, grid: TimeGrid
 ) -> MonteCarloReport:
     """Sample mean of the exponential functional against its exact mean 1."""
-    w, grd = _as_matrix(paths, grid)
-    levels = _step_levels_on_path(g_fn, grd)
+    levels = _step_levels_on_path(g_fn, grid)
     norm_sq = _guarded_norm_sq(g_fn, ctx)
     integrals = (levels * np.diff(w, axis=1)).sum(axis=1)
     eps = np.exp(integrals - 0.5 * norm_sq)
     return MonteCarloReport.from_samples("exponential-mean-one", eps, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# expectation identities with exact right-hand sides
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExpectationIdentity:
-    """E[f(W_t)] = f(0) + H int_0^t s^(2H-1) E[f''(W_s)] ds, with the right
-    side reduced to a closed form by exact Gaussian moments."""
-
-    fn: CylinderFunction
-    rhs: Callable[[float, float], float]  # (t, hurst) -> exact value
-
-
-def _poly_identity(coeffs) -> ExpectationIdentity:
-    c = np.asarray(coeffs, dtype=float)
-
-    def rhs(t: float, h: float) -> float:
-        # E[f''(W_s)] is a polynomial in s^2H; integrate s^(2H-1) s^(2Hj)
-        # exactly: H * t^(2H(j+1)) / (H (2j + 2)) = t^(2H(j+1)) / (2j + 2).
-        total = c[0] if c.size else 0.0
-        for k in range(2, c.size):
-            # term c_k x^k contributes c_k k(k-1) E[W_s^(k-2)]
-            if (k - 2) % 2 == 1:
-                continue
-            j = (k - 2) // 2
-            dfact = 1.0
-            for m in range(1, k - 2, 2):
-                dfact *= m
-            coef = c[k] * k * (k - 1) * dfact
-            total += coef * t ** (2.0 * h * (j + 1)) / (2.0 * (j + 1))
-        return float(total)
-
-    return ExpectationIdentity(CylinderFunction.polynomial(c), rhs)
-
-
-IDENTITY_REGISTRY: dict[str, ExpectationIdentity] = {
-    "x1": _poly_identity([0.0, 1.0]),
-    "x2": _poly_identity([0.0, 0.0, 1.0]),
-    "x3": _poly_identity([0.0, 0.0, 0.0, 1.0]),
-    "x4": _poly_identity([0.0, 0.0, 0.0, 0.0, 1.0]),
-    "exp": ExpectationIdentity(
-        CylinderFunction.exponential(1.0),
-        lambda t, h: math.exp(0.5 * t ** (2.0 * h)),
-    ),
-    "cos": ExpectationIdentity(
-        CylinderFunction.cosine(1.0),
-        lambda t, h: math.exp(-0.5 * t ** (2.0 * h)),
-    ),
-    "sin": ExpectationIdentity(CylinderFunction.sine(1.0), lambda t, h: 0.0),
-}
-
-
-def expectation_identity_check(
-    identity: str,
-    t: float,
-    paths: list[SamplePath] | np.ndarray,
-    ctx: PhiContext,
-    grid: TimeGrid | None = None,
-) -> MonteCarloReport:
-    """z-test of the sampled mean of f(W_t) against the exact moment value."""
-    try:
-        entry = IDENTITY_REGISTRY[identity]
-    except KeyError:
-        raise UnsupportedCaseError(
-            f"unknown identity {identity!r}; known: {sorted(IDENTITY_REGISTRY)}"
-        )
-    w, g = _as_matrix(paths, grid)
-    pts = g.points
-    idx = int(np.searchsorted(pts, t))
-    if idx >= pts.size or pts[idx] != t:
-        raise GridMismatchError(f"t = {t} is not a grid point")
-    samples = entry.fn.value(w[:, idx])
-    oracle = entry.rhs(t, ctx.h)
-    return MonteCarloReport.from_samples(
-        f"moment:{identity}@t={t:g}", samples, oracle
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,6 @@ def diagonal_cell_integrals(grid: TimeGrid, ctx: PhiContext) -> np.ndarray:
     return 0.5 * (t[1:] - t[:-1])
 
 
-def diagonal_kernel(grid: TimeGrid, ctx: PhiContext) -> np.ndarray:
-    """K(t, t) = H t^(2H-1) at the grid points (0 at t = 0 since H > 1/2)."""
-    return ctx.h * grid.points ** (2.0 * ctx.h - 1.0)
-
-
 def _step_levels_on_path(f: StepFunction, grid: TimeGrid) -> np.ndarray:
     """Levels of f on the path cells; f's breakpoints must be path points."""
     try:
@@ -65,20 +60,6 @@ def wick_integral_deterministic(f: StepFunction, path: SamplePath) -> float:
     """
     levels = _step_levels_on_path(f, path.grid)
     return fsum(levels * path.increments)
-
-
-def phi_derivative_cylinder(
-    fn: CylinderFunction, t: float, s: float, path: SamplePath, ctx: PhiContext
-) -> float:
-    """D^phi_s of h(W_t) along the given path: h'(W_t) K(s, t)."""
-    from .phicalc import kernel_K
-
-    pts = path.grid.points
-    idx = int(np.searchsorted(pts, t))
-    if idx >= pts.size or pts[idx] != t:
-        raise GridMismatchError(f"t = {t} is not a grid point of the path")
-    w_t = path.values[idx]
-    return float(fn.deriv(w_t)) * kernel_K(s, t, ctx)
 
 
 @dataclass(frozen=True)
@@ -129,25 +110,11 @@ def exponential_functional(f: StepFunction, path: SamplePath, ctx: PhiContext) -
     return math.exp(wick_integral_deterministic(f, path) - 0.5 * norm_sq)
 
 
-def _as_matrix(paths: list[SamplePath] | np.ndarray, grid: TimeGrid | None):
-    if isinstance(paths, np.ndarray):
-        if grid is None:
-            raise ValueError("a grid is required with a raw value matrix")
-        return np.atleast_2d(np.asarray(paths, dtype=float)), grid
-    if not paths:
-        raise ValueError("empty ensemble")
-    g = paths[0].grid
-    for p in paths[1:]:
-        if p.grid != g:
-            raise GridMismatchError("ensemble paths must share one grid")
-    return np.stack([p.values for p in paths]), g
-
-
 def isometry_check(
     integrand: CylinderFunction | StepFunction,
-    paths: list[SamplePath] | np.ndarray,
+    w: np.ndarray,
     ctx: PhiContext,
-    grid: TimeGrid | None = None,
+    grid: TimeGrid,
     name: str | None = None,
 ) -> MonteCarloReport:
     """Second-moment identity for the Wick integral over [0, T].
@@ -160,20 +127,19 @@ def isometry_check(
     part is a quadratic form in h'(W) with the matrix K(s, t) K(t, s).
     Compared pairwise on common random numbers.
     """
-    w, g = _as_matrix(paths, grid)
     if isinstance(integrand, StepFunction):
-        levels = _step_levels_on_path(integrand, g)
+        levels = _step_levels_on_path(integrand, grid)
         lhs = (levels * np.diff(w, axis=1)).sum(axis=1) ** 2
         rhs = np.full(lhs.shape, phi_norm_sq(integrand, ctx))
         label = name or "isometry:step"
         return MonteCarloReport.from_paired(label, lhs, rhs)
-    raw, corr = cylinder_integral_terms(integrand, w, g, ctx)
+    raw, corr = cylinder_integral_terms(integrand, w, grid, ctx)
     lhs = (raw - corr) ** 2
-    rect = rect_weight_matrix(g.points, ctx)
+    rect = rect_weight_matrix(grid.points, ctx)
     frozen = integrand.value(w[:, :-1])
     norm_sq = np.einsum("pi,pi->p", frozen @ rect, frozen)
-    pts = g.points
-    dt = g.spacings
+    pts = grid.points
+    dt = grid.spacings
     weights = np.empty(pts.size)
     weights[0] = 0.5 * dt[0]
     weights[-1] = 0.5 * dt[-1]

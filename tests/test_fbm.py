@@ -9,9 +9,7 @@ from scipy import stats
 import oracles
 from fracwick import (
     CovarianceMatrix,
-    GridMismatchError,
     HurstParameter,
-    SamplePath,
     SeedSpec,
     SingularCovarianceError,
     TimeGrid,
@@ -19,10 +17,9 @@ from fracwick import (
     covariance_grid,
     empirical_covariance,
     ensemble_values,
-    generate_ensemble,
-    generate_path,
 )
 from fracwick.fbm import circulant_eigenvalues, fgn_autocovariance
+from fracwick.mc import sample_stderr
 
 GENERATORS = ["cholesky", "circulant", "hosking"]
 
@@ -132,57 +129,78 @@ class TestNoiseMachinery:
         np.testing.assert_allclose(lam, 1.0, rtol=1e-12)
 
 
+class TestStreamContract:
+    # (master_seed, stream, k) -> bits of the first k draws. These pin the
+    # seeding scheme: any change to how a stream is keyed shows up here.
+    PINNED = {
+        (0, 0): ["-0x1.9ae74b83aae1ap-1", "0x1.d47fef345b692p-2", "-0x1.421baf67f49b4p-2", "0x1.73f208abd15b5p-1"],
+        (2**63 + 12345, 7): ["-0x1.3616d64b84c80p-4", "-0x1.60207bb393996p-3", "0x1.38d9fc2e4b039p-3", "0x1.90f70412fc71fp-6"],
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_stream_draws_are_pinned(self, key):
+        draws = SeedSpec(*key).generator().standard_normal(4)
+        assert [float(x).hex() for x in draws] == self.PINNED[key]
+
+    def test_cholesky_row_is_factor_times_its_stream(self):
+        grid = TimeGrid(np.array([0.0, 0.1, 0.35, 0.4, 0.8, 1.0]))
+        h = HurstParameter(0.7)
+        chol = CovarianceMatrix(grid, h).cholesky()
+        vals = ensemble_values("cholesky", grid, h, 9, 6)
+        for i in range(6):
+            z = SeedSpec(9, i).generator().standard_normal(grid.n_intervals)
+            assert vals[i, 0] == 0.0
+            np.testing.assert_allclose(vals[i, 1:], chol @ z, rtol=1e-12, atol=0.0)
+
+
 class TestGenerators:
     @pytest.mark.parametrize("method", GENERATORS)
     def test_same_seed_is_byte_identical(self, method):
         grid = TimeGrid.uniform(32, 1.0)
         h = HurstParameter(0.7)
-        a = generate_path(method, grid, h, SeedSpec(11, 3))
-        b = generate_path(method, grid, h, SeedSpec(11, 3))
-        assert a.values.tobytes() == b.values.tobytes()
+        a = ensemble_values(method, grid, h, 11, 3)
+        b = ensemble_values(method, grid, h, 11, 3)
+        assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("method", GENERATORS)
     def test_streams_differ(self, method):
-        grid = TimeGrid.uniform(16, 1.0)
-        h = HurstParameter(0.7)
-        a = generate_path(method, grid, h, SeedSpec(11, 0))
-        b = generate_path(method, grid, h, SeedSpec(11, 1))
-        assert not np.array_equal(a.values, b.values)
+        vals = ensemble_values(method, TimeGrid.uniform(16, 1.0), HurstParameter(0.7), 11, 2)
+        assert not np.array_equal(vals[0], vals[1])
 
     @pytest.mark.parametrize("method", GENERATORS)
     def test_paths_start_at_zero(self, method):
-        path = generate_path(method, TimeGrid.uniform(8, 1.0), HurstParameter(0.6), SeedSpec(0))
-        assert path.values[0] == 0.0
+        vals = ensemble_values(method, TimeGrid.uniform(8, 1.0), HurstParameter(0.6), 0, 3)
+        assert np.all(vals[:, 0] == 0.0)
 
     @pytest.mark.parametrize("method", GENERATORS)
     def test_ensemble_matches_per_stream_paths(self, method):
+        # Row i depends on stream i alone, so a prefix of a larger ensemble
+        # is the smaller ensemble. Circulant and hosking transform row by
+        # row, bit for bit; the cholesky product may accumulate in an order
+        # the BLAS picks from the row count, so it is held to rounding.
         grid = TimeGrid.uniform(16, 1.0)
         h = HurstParameter(0.75)
-        vals = ensemble_values(method, grid, h, 5, 4)
-        for i in range(4):
-            single = generate_path(method, grid, h, SeedSpec(5, i))
-            np.testing.assert_allclose(
-                vals[i],
-                single.values,
-                rtol=1e-12,
-                atol=1e-14,
-                err_msg=f"{method} ensemble row {i} drifts from its stream path",
-            )
+        eight = ensemble_values(method, grid, h, 5, 8)
+        four = ensemble_values(method, grid, h, 5, 4)
+        if method == "cholesky":
+            np.testing.assert_allclose(eight[:4], four, rtol=1e-12, atol=1e-15)
+        else:
+            assert eight[:4].tobytes() == four.tobytes()
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown generator"):
-            generate_path("fft", TimeGrid.uniform(4, 1.0), HurstParameter(0.7), SeedSpec(0))
+            ensemble_values("fft", TimeGrid.uniform(4, 1.0), HurstParameter(0.7), 0, 1)
 
     @pytest.mark.parametrize("method", ["circulant", "hosking"])
     def test_uniform_grid_required(self, method):
         grid = TimeGrid(np.array([0.0, 0.4, 1.0]))
         with pytest.raises(ValueError, match="uniform"):
-            generate_path(method, grid, HurstParameter(0.7), SeedSpec(0))
+            ensemble_values(method, grid, HurstParameter(0.7), 0, 1)
 
     def test_cholesky_accepts_irregular_grid(self):
         grid = TimeGrid(np.array([0.0, 0.4, 0.45, 1.0]))
-        path = generate_path("cholesky", grid, HurstParameter(0.7), SeedSpec(0))
-        assert path.values.shape == (4,)
+        vals = ensemble_values("cholesky", grid, HurstParameter(0.7), 0, 1)
+        assert vals.shape == (1, 4)
 
     @pytest.mark.parametrize("method", GENERATORS)
     def test_brownian_increments_are_standard_normal(self, method):
@@ -204,21 +222,12 @@ class TestGenerators:
         p = oracles.energy_permutation_pvalue(x, y, n_perm=199, seed=1)
         assert p > 0.01, f"{pair} terminal-value energy test: p = {p:.4f}"
 
-    def test_generate_ensemble_wraps_values(self):
-        grid = TimeGrid.uniform(8, 1.0)
-        paths = generate_ensemble("circulant", grid, HurstParameter(0.7), 3, 5)
-        assert len(paths) == 5
-        vals = ensemble_values("circulant", grid, HurstParameter(0.7), 3, 5)
-        for i, p in enumerate(paths):
-            assert p.grid == grid
-            np.testing.assert_array_equal(p.values, vals[i])
-
 
 class TestEmpiricalCovariance:
     def test_drops_time_zero_column(self):
         grid = TimeGrid.uniform(4, 1.0)
-        paths = generate_ensemble("circulant", grid, HurstParameter(0.7), 0, 16)
-        cov, stderr = empirical_covariance(paths)
+        vals = ensemble_values("circulant", grid, HurstParameter(0.7), 0, 16)
+        cov, stderr = empirical_covariance(vals)
         assert cov.shape == (4, 4) and stderr.shape == (4, 4)
 
     def test_matches_plain_mean_of_products(self):
@@ -237,17 +246,13 @@ class TestEmpiricalCovariance:
         v = mat[:, 1:]
         for i in range(n):
             for j in range(n):
-                want = oracles.jackknife_delete_one(v[:, i] * v[:, j])
+                products = v[:, i] * v[:, j]
+                want = oracles.jackknife_delete_one(products)
                 assert stderr[i, j] == pytest.approx(want, rel=1e-10, abs=1e-15), (
                     f"jackknife mismatch at entry ({i},{j}): "
                     f"{stderr[i, j]} vs delete-one {want}"
                 )
-
-    def test_mixed_grids_rejected(self):
-        a = SamplePath(TimeGrid.uniform(2, 1.0), np.zeros(3))
-        b = SamplePath(TimeGrid.uniform(3, 1.0), np.zeros(4))
-        with pytest.raises(GridMismatchError):
-            empirical_covariance([a, b])
+                assert sample_stderr(products) == pytest.approx(want, rel=1e-10, abs=1e-15)
 
     def test_single_path_rejected(self):
         with pytest.raises(ValueError):

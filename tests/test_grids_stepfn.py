@@ -1,11 +1,13 @@
 """Grids, sample paths, and piecewise-constant functions."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracwick import GridMismatchError, SamplePath, StepFunction, TimeGrid
+from fracwick import GridMismatchError, SamplePath, StepFunction, TimeGrid, write_ensemble_csv
 from fracwick.stepfn import common_refinement, levels_on, refine_breakpoints
 
 
@@ -106,6 +108,20 @@ class TestSamplePath:
         out.write_text("a,b\n0,0\n")
         with pytest.raises(ValueError, match="header"):
             SamplePath.from_csv(str(out))
+
+    def test_ensemble_csv_is_long_format_and_exact(self, tmp_path):
+        grid = TimeGrid(np.array([0.0, 1.0 / 3.0, 1.0]))
+        vals = np.array([[0.0, np.pi, -1.0 / 7.0], [0.0, 2.0**-40, 1e300]])
+        out = tmp_path / "ensemble.csv"
+        write_ensemble_csv(grid, vals, str(out))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["replication", "t", "value"]
+        assert [int(r[0]) for r in rows[1:]] == [0, 0, 0, 1, 1, 1]
+        np.testing.assert_array_equal([float(r[1]) for r in rows[1:]], np.tile(grid.points, 2))
+        np.testing.assert_array_equal([float(r[2]) for r in rows[1:]], vals.ravel())
+        with pytest.raises(GridMismatchError):
+            write_ensemble_csv(grid, vals[:, :2], str(out))
 
 
 class TestStepFunction:

@@ -14,13 +14,11 @@ from fracwick import (
     HurstParameter,
     PhiContext,
     SamplePath,
-    SeedSpec,
     StepFunction,
     TimeGrid,
     MonteCarloReport,
     ensemble_values,
     exponential_functional,
-    generate_path,
     isometry_check,
     phi_norm_sq,
     phi_rect_integral,
@@ -31,6 +29,11 @@ from fracwick.mc import fmean, sample_stderr
 from fracwick.wick import cylinder_integral_terms, left_corrections
 
 CTX = PhiContext(HurstParameter(0.75))
+
+
+def _stream_zero(grid, master_seed):
+    """Circulant path on stream 0 of master_seed at H = 0.75."""
+    return SamplePath(grid, ensemble_values("circulant", grid, CTX.hurst, master_seed, 1)[0])
 
 
 class TestDeterministicIntegral:
@@ -89,12 +92,12 @@ class TestLeftCorrections:
 
 class TestCylinderIntegral:
     def test_decomposition_is_exact(self):
-        path = generate_path("circulant", TimeGrid.uniform(64, 1.0), CTX.hurst, SeedSpec(1))
+        path = _stream_zero(TimeGrid.uniform(64, 1.0), 1)
         res = wick_integral_cylinder(CylinderFunction.monomial(2), path, CTX)
         assert res.value == res.riemann_part - res.correction_part
 
     def test_constant_integrand_gives_terminal_value(self):
-        path = generate_path("circulant", TimeGrid.uniform(32, 1.0), CTX.hurst, SeedSpec(2))
+        path = _stream_zero(TimeGrid.uniform(32, 1.0), 2)
         res = wick_integral_cylinder(CylinderFunction.constant(1.0), path, CTX)
         assert res.value == pytest.approx(path.values[-1], rel=1e-13)
         assert res.correction_part == 0.0
@@ -156,7 +159,7 @@ class TestExponentialFunctional:
     def test_scale_invariance_in_time_units(self):
         # epsilon(f) depends on the path only through the integral of f dW
         grid = TimeGrid.uniform(8, 1.0)
-        path = generate_path("circulant", grid, CTX.hurst, SeedSpec(5))
+        path = _stream_zero(grid, 5)
         f = StepFunction.constant(0.7, 1.0)
         got = exponential_functional(f, path, CTX)
         manual = math.exp(
@@ -168,23 +171,19 @@ class TestExponentialFunctional:
 class TestIsometry:
     def test_step_integrand_report(self):
         grid = TimeGrid.uniform(64, 1.0)
-        paths = [
-            SamplePath(grid, v)
-            for v in ensemble_values("circulant", grid, CTX.hurst, 21, 4000)
-        ]
+        vals = ensemble_values("circulant", grid, CTX.hurst, 21, 4000)
         f = StepFunction(
             TimeGrid(np.array([0.0, 0.25, 1.0])), np.array([1.0, -2.0])
         )
-        report = isometry_check(f, paths, CTX)
+        report = isometry_check(f, vals, CTX, grid=grid)
         assert report.verdict, f"step isometry z = {report.z_score:.2f}"
         assert report.oracle == pytest.approx(phi_norm_sq(f, CTX), rel=1e-13)
 
     def test_step_breakpoints_must_lie_on_path_grid(self):
         grid = TimeGrid.uniform(64, 1.0)
-        paths = [SamplePath(grid, np.zeros(65))]
         f = StepFunction(TimeGrid(np.array([0.0, 0.3, 1.0])), np.array([1.0, -2.0]))
         with pytest.raises(GridMismatchError, match="breakpoints"):
-            isometry_check(f, paths, CTX)
+            isometry_check(f, np.zeros((1, 65)), CTX, grid=grid)
 
     @pytest.mark.parametrize("h", [0.6, 0.75])
     def test_constant_cylinder_matches_variance(self, h):
@@ -240,17 +239,6 @@ class TestIsometry:
         vals = ensemble_values("circulant", grid, CTX.hurst, 25, 4000)
         report = isometry_check(CylinderFunction.monomial(2), vals, CTX, grid=grid)
         assert report.verdict, f"quadratic integrand z = {report.z_score:.2f}"
-
-    def test_matrix_input_requires_grid(self):
-        vals = np.zeros((3, 5))
-        with pytest.raises(ValueError, match="grid"):
-            isometry_check(CylinderFunction.constant(1.0), vals, CTX)
-
-    def test_mixed_grids_rejected(self):
-        a = SamplePath(TimeGrid.uniform(2, 1.0), np.zeros(3))
-        b = SamplePath(TimeGrid.uniform(3, 1.0), np.zeros(4))
-        with pytest.raises(GridMismatchError):
-            isometry_check(CylinderFunction.constant(1.0), [a, b], CTX)
 
     def test_report_shape(self):
         grid = TimeGrid.uniform(16, 1.0)
