@@ -7,6 +7,7 @@ different experiment than the one the user wrote down.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -204,6 +205,15 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
     for n in cfg.grid_sizes:
         if n < 2:
             raise ConfigError("grid_sizes entries must be at least 2")
+    # A Picard slab is never narrower than one cell, and the trapezoid
+    # fixed-point map on one cell contracts by dt * lam / 2: from 2 on it
+    # diverges, which is a setup error rather than a numerical failure.
+    if cfg.solver == "picard" and cfg.sde.lam * cfg.horizon / cfg.grid_n >= 2.0:
+        need = math.floor(cfg.sde.lam * cfg.horizon / 2.0) + 1
+        raise ConfigError(
+            f"picard needs sde.lam * horizon / grid_n < 2, got "
+            f"{cfg.sde.lam:g} * {cfg.horizon:g} / {cfg.grid_n}; use grid_n >= {need}"
+        )
     return cfg
 
 

@@ -14,10 +14,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DriftBlowupError, NonConvergenceError
+from .fbm import fgn_autocovariance
 from .grids import SamplePath, TimeGrid
 from .mc import MonteCarloReport, fmean, variance_stderr
-from .phicalc import PhiContext, phi_norm_sq
-from .stepfn import StepFunction
+from .phicalc import PhiContext
 
 SOLVER_NAMES = ("flow-euler", "flow-rk4", "direct-euler", "picard")
 
@@ -276,20 +276,26 @@ def fou_oracle(
     mean(t) = x0 exp(-lam t); var(t) = sigma^2 ||exp(-lam(t-.))||^2_phi on
     [0, t], with the norm evaluated on an n_cells midpoint step projection
     (the oracle's only approximation; a doubled-resolution check belongs to
-    the caller/test side).
+    the caller/test side). On the uniform projection grid the phi rectangle
+    matrix is Toeplitz, dt^2H gamma(|i - j|) with gamma the unit fGn
+    autocovariance, so the quadratic form needs only the lag sums
+    sum_i f_i f_{i+k} of the levels f, not the n_cells x n_cells matrix.
     """
     ts = np.asarray(times, dtype=float)
     if np.any(ts < 0):
         raise ValueError("times must be nonnegative")
     means = x0 * np.exp(-lam * ts)
     variances = np.empty_like(ts)
+    gamma = fgn_autocovariance(n_cells, ctx.hurst)
     for i, t in enumerate(ts):
         if t == 0.0:
             variances[i] = 0.0
             continue
         grid = TimeGrid.uniform(n_cells, t)
-        proj = StepFunction.from_callable(lambda s: np.exp(-lam * (t - s)), grid)
-        variances[i] = sigma * sigma * phi_norm_sq(proj, ctx)
+        f = np.exp(-lam * (t - 0.5 * (grid.points[:-1] + grid.points[1:])))
+        lag_sums = np.correlate(f, f, "full")[n_cells - 1 :]
+        quad = gamma[0] * lag_sums[0] + 2.0 * (gamma[1:] @ lag_sums[1:])
+        variances[i] = sigma * sigma * (t / n_cells) ** (2.0 * ctx.h) * quad
     return means, variances
 
 

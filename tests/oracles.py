@@ -162,3 +162,24 @@ def jackknife_delete_one(values: np.ndarray) -> float:
     )
     center = leave_out.mean()
     return float(np.sqrt((m - 1.0) / m * np.sum((leave_out - center) ** 2)))
+
+
+def circulant_fgn_full_spectrum(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Circulant-embedding fGn rows from the full Hermitian spectrum.
+
+    The direct route of Wood & Chan (1994): build all 2m complex Fourier
+    coefficients, mirroring the m-1 interior ones as conjugates, and take
+    the real part of a complex forward FFT. Draw layout per row of 2m
+    normals: z[0] feeds frequency 0, z[2k-1] + i z[2k] frequency k for
+    1 <= k <= m-1, z[2m-1] frequency m. Returns the first m noise values.
+    """
+    big_m = lam.size
+    m = big_m // 2
+    a = np.zeros((z.shape[0], big_m), dtype=complex)
+    a[:, 0] = np.sqrt(lam[0] / big_m) * z[:, 0]
+    a[:, m] = np.sqrt(lam[m] / big_m) * z[:, 2 * m - 1]
+    k = np.arange(1, m)
+    scale = np.sqrt(lam[k] / (2.0 * big_m))
+    a[:, k] = scale * (z[:, 2 * k - 1] + 1j * z[:, 2 * k])
+    a[:, big_m - k] = np.conj(a[:, k])
+    return np.fft.fft(a, axis=1).real[:, :m]

@@ -1,5 +1,7 @@
 """Path generators: law, determinism, and cross-generator agreement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from fracwick import (
     empirical_covariance,
     ensemble_values,
 )
-from fracwick.fbm import circulant_eigenvalues, fgn_autocovariance
+from fracwick import fbm
+from fracwick.fbm import _circulant_fgn, circulant_eigenvalues, fgn_autocovariance
 from fracwick.mc import sample_stderr
 
 GENERATORS = ["cholesky", "circulant", "hosking"]
@@ -128,6 +131,16 @@ class TestNoiseMachinery:
         lam = circulant_eigenvalues(16, HurstParameter(0.5))
         np.testing.assert_allclose(lam, 1.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("h", [0.3, 0.55, 0.7, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 257])
+    def test_half_spectrum_transform_matches_full_spectrum(self, n, h):
+        lam = circulant_eigenvalues(n, HurstParameter(h))
+        z = np.random.default_rng(n).standard_normal((7, 2 * n))
+        got = _circulant_fgn(lam, z)
+        want = oracles.circulant_fgn_full_spectrum(lam, z)
+        assert got.shape == (7, n)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
 
 class TestStreamContract:
     # (master_seed, stream, k) -> bits of the first k draws. These pin the
@@ -221,6 +234,37 @@ class TestGenerators:
         y = ensemble_values(pair[1], grid, h, 32, 400)[:, -1]
         p = oracles.energy_permutation_pvalue(x, y, n_perm=199, seed=1)
         assert p > 0.01, f"{pair} terminal-value energy test: p = {p:.4f}"
+
+
+class TestRowBlocks:
+    GRID_N = 255
+    BLOCK = fbm._BLOCK_CELLS // (GRID_N + 1)
+
+    @pytest.fixture(scope="class")
+    def larger(self):
+        grid = TimeGrid.uniform(self.GRID_N, 1.0)
+        h = HurstParameter(0.7)
+        n_paths = 3 * self.BLOCK + 20
+        return {m: ensemble_values(m, grid, h, 4, n_paths) for m in ("circulant", "hosking")}
+
+    @pytest.mark.parametrize("method", ["circulant", "hosking"])
+    @pytest.mark.parametrize("n_paths", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_ensemble_is_prefix_of_larger_bitwise(self, larger, method, n_paths):
+        assert self.BLOCK > 1
+        grid = TimeGrid.uniform(self.GRID_N, 1.0)
+        vals = ensemble_values(method, grid, HurstParameter(0.7), 4, n_paths)
+        assert vals.shape == (n_paths, self.GRID_N + 1)
+        assert vals.tobytes() == larger[method][:n_paths].tobytes()
+
+    def test_peak_memory_is_result_plus_one_block(self):
+        grid = TimeGrid.uniform(4096, 1.0)
+        tracemalloc.start()
+        try:
+            vals = ensemble_values("circulant", grid, HurstParameter(0.7), 0, 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * vals.nbytes, f"peak {peak / 2**20:.1f} MiB for a {vals.nbytes / 2**20:.1f} MiB result"
 
 
 class TestEmpiricalCovariance:

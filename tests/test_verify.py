@@ -195,3 +195,18 @@ class TestConfigErrors:
         assert _run_cli(tmp_path, suite, cfg) == 2
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+
+    @pytest.mark.parametrize("grid_n, code", [(32, 2), (48, 2), (50, 2), (64, 0)])
+    def test_picard_grid_too_coarse_for_lam_is_a_config_error(self, tmp_path, capsys, grid_n, code):
+        # one cell contracts by dt * lam / 2; lam * horizon / grid_n >= 2 diverges
+        cfg = {
+            "solver": "picard",
+            "sde": {"lam": 100.0},
+            "grid_n": grid_n,
+            "n_paths": 8,
+            "checkpoints": [1.0],
+        }
+        assert _run_cli(tmp_path, "solve-sde", cfg) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert "config error" in err and "grid_n >= 51" in err and "sde.lam" in err
