@@ -28,7 +28,7 @@ from .fbm import (
     ensemble_values,
 )
 from .functions import CylinderFunction, SpaceTimeFunction
-from .grids import SamplePath, TimeGrid, write_ensemble_csv
+from .grids import TimeGrid, write_ensemble_csv
 from .mc import MonteCarloReport
 from .phicalc import (
     PhiContext,
@@ -41,16 +41,7 @@ from .phicalc import (
     rect_weight_matrix,
 )
 from .rng import SeedSpec
-from .sde import (
-    SdeSpec,
-    SolverResult,
-    fou_oracle,
-    make_fou,
-    sde_mc_stats,
-    solve_direct_euler,
-    solve_flow_transform,
-    solve_picard,
-)
+from .sde import SdeSpec, fou_oracle, make_fou, sde_mc_stats
 from .stepfn import StepFunction
 from .verify import (
     ITO_MEAN_ZERO_CASES,
@@ -69,13 +60,7 @@ from .verify import (
     wentzell_case_registry,
     wentzell_residuals,
 )
-from .wick import (
-    WickIntegralResult,
-    exponential_functional,
-    isometry_check,
-    wick_integral_cylinder,
-    wick_integral_deterministic,
-)
+from .wick import exponential_functional, isometry_check, wick_integral_deterministic
 
 __version__ = "0.1.0"
 
@@ -98,17 +83,14 @@ __all__ = [
     "MonteCarloReport",
     "NonConvergenceError",
     "PhiContext",
-    "SamplePath",
     "SdeSpec",
     "SeedSpec",
     "SingularCovarianceError",
-    "SolverResult",
     "SpaceTimeFunction",
     "StepFunction",
     "TimeGrid",
     "UnsupportedCaseError",
     "WentzellCase",
-    "WickIntegralResult",
     "convergence_study",
     "covariance",
     "covariance_grid",
@@ -133,12 +115,8 @@ __all__ = [
     "product_rule_residuals",
     "rect_weight_matrix",
     "sde_mc_stats",
-    "solve_direct_euler",
-    "solve_flow_transform",
-    "solve_picard",
     "wentzell_case_registry",
     "wentzell_residuals",
-    "wick_integral_cylinder",
     "wick_integral_deterministic",
     "write_ensemble_csv",
 ]

@@ -8,6 +8,7 @@ different experiment than the one the user wrote down.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -217,11 +218,24 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
     return cfg
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader with the YAML 1.2 float syntax: PyYAML resolves floats by
+    the YAML 1.1 rule, which needs a dot, so 1e-10 would load as a string.
+    Quoted scalars stay strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
+
+
 def load_config(path: str, suite: str) -> ExperimentConfig:
     """Read and validate a YAML config file for the given suite."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_Loader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:

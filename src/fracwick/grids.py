@@ -1,8 +1,8 @@
-"""Time grids and grid-indexed sample paths."""
+"""Time grids and the ensemble CSV format."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,51 +85,6 @@ class TimeGrid:
 
     def __hash__(self) -> int:
         return hash(self.points.tobytes())
-
-
-@dataclass(frozen=True)
-class SamplePath:
-    """One trajectory observed at the points of a grid."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float).copy()
-        if vals.shape != self.grid.points.shape:
-            raise GridMismatchError("path needs one value per grid point")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("path values must be finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
-
-    def restrict(self, coarse: TimeGrid) -> "SamplePath":
-        """Restriction onto a sub-grid (exact point matching required)."""
-        idx = self.grid.restriction_indices(coarse)
-        return SamplePath(coarse, self.values[idx], label=self.label)
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "value"])
-            for t, v in zip(self.grid.points, self.values):
-                writer.writerow([format_float(t), format_float(v)])
-
-    @classmethod
-    def from_csv(cls, path: str, label: str = "") -> "SamplePath":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["t", "value"]:
-                raise ValueError(f"unexpected path CSV header: {header}")
-            rows = [(float(t), float(v)) for t, v in reader]
-        ts, vs = zip(*rows)
-        return cls(TimeGrid(np.array(ts)), np.array(vs), label=label)
 
 
 def write_ensemble_csv(grid: TimeGrid, values: np.ndarray, out_path: str) -> None:

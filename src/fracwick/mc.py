@@ -48,7 +48,13 @@ def sample_stderr(values: np.ndarray) -> float:
 
 
 def variance_stderr(values: np.ndarray) -> float:
-    """Large-sample stderr of the sample variance: sqrt((m4 - s^4)/m)."""
+    """Large-sample stderr of the sample variance: sqrt((m4 - s^4)/m).
+
+    In small samples m4 - s^4 can be <= 0 (at m = 2 it always is), which
+    would make any gap infinitely significant. There the plug-in of the
+    exact variance of s^2, (m4 - s^4 (m - 3)/(m - 1))/m, is used; it is
+    positive for every non-constant sample.
+    """
     v = np.asarray(values, dtype=float).ravel()
     m = v.size
     if m < 2:
@@ -57,7 +63,10 @@ def variance_stderr(values: np.ndarray) -> float:
     centered = v - mu
     s2 = fsum(centered**2) / (m - 1)
     m4 = fsum(centered**4) / m
-    return math.sqrt(max(m4 - s2 * s2, 0.0) / m)
+    var = m4 - s2 * s2
+    if var <= 0.0:
+        var = max(m4 - s2 * s2 * (m - 3) / (m - 1), 0.0)
+    return math.sqrt(var / m)
 
 
 @dataclass(frozen=True)

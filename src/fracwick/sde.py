@@ -5,9 +5,16 @@ equation into a random ODE per path: Y' = b(t, Y + sigma * W(t)) with
 Y = X - sigma * W. Solvers integrate that ODE on the path grid; the noise
 is only ever evaluated at nodes (plus linearly interpolated half-nodes for
 the RK4 stages).
+
+Every solver takes the whole ensemble, a (paths x nodes) noise matrix, and
+steps or iterates all rows at once; one path is a one-row matrix. Row p of
+the solution depends only on row p of the noise, bit for bit for the
+stepping solvers; Picard stops on the largest delta over all rows, so a
+row's solution moves with the ensemble only below tol.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -15,7 +22,7 @@ import numpy as np
 
 from .errors import DriftBlowupError, NonConvergenceError
 from .fbm import fgn_autocovariance
-from .grids import SamplePath, TimeGrid
+from .grids import TimeGrid
 from .mc import MonteCarloReport, fmean, variance_stderr
 from .phicalc import PhiContext
 
@@ -23,14 +30,22 @@ SOLVER_NAMES = ("flow-euler", "flow-rk4", "direct-euler", "picard")
 
 # Contraction target per Picard slab: slab length chosen so slab * L <= this.
 _SLAB_CONTRACTION = 0.5
+# Picard iterations allowed beyond the count the contraction bound predicts.
+_PICARD_MARGIN = 5
+# Rounding floor of one Picard step, in units of eps * max|y|.
+_ROUNDING_ULPS = 16
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class SdeSpec:
     """dX = b(t, X) dt + sigma dW with declared regularity constants.
 
-    The drift callable must be vectorized in x. lipschitz and growth are
-    declared by the caller, never inferred.
+    The drift callable must be vectorized in t and x: the stepping solvers
+    pass a scalar t and one column of states, Picard passes t as a
+    (1, nodes) row against a (paths, nodes) matrix of states. lipschitz and
+    growth are declared by the caller, never inferred; Picard sizes its
+    slabs and its iteration budget from lipschitz.
     """
 
     drift: Callable[[float, np.ndarray], np.ndarray]
@@ -65,14 +80,12 @@ def make_fou(lam: float, sigma: float, x0: float) -> SdeSpec:
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Node values of the state X, its noise-free part Y, and diagnostics."""
+    """Node values of the state X and of its noise-free part Y = X - sigma W,
+    one row per path, plus the iteration count and diagnostics of Picard."""
 
-    grid: TimeGrid
     x: np.ndarray
     y: np.ndarray
-    solver: str
     iterations: int = 0
-    final_delta: float = 0.0
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -126,29 +139,28 @@ def _direct_euler_core(spec: SdeSpec, t: np.ndarray, w: np.ndarray) -> np.ndarra
     return x
 
 
-def _picard_core(
-    spec: SdeSpec,
-    t: np.ndarray,
-    w: np.ndarray,
-    tol: float,
-    max_iter: int,
-    initial_level: float | None,
-) -> tuple[np.ndarray, int, float, list[list[float]]]:
+def solve_picard(spec: SdeSpec, grid: TimeGrid, w: np.ndarray, tol: float) -> SolverResult:
     """Fixed-point iteration of the integral form, trapezoid quadrature.
 
-    The horizon is split into slabs with slab_length * L <= 0.5 so the
-    iteration contracts classically; each slab restarts from the previous
-    slab's endpoint. Returns (y, total iterations, last delta, history).
+    The horizon is split into slabs with slab_length * L <= 0.5, never
+    narrower than one cell; each slab restarts from the previous slab's
+    endpoint. On a slab the trapezoid map contracts in the max norm by
+    q = L * (width - first cell / 2), so after the first delta d1 the
+    iteration needs about log(tol / d1) / log(q) more steps: that, plus a
+    small margin, is the budget. A slab also stops once delta is at the
+    rounding floor of the map, a few ulps of max|y| amplified by
+    1 / (1 - q), below which no tol can be met.
     """
-    horizon = t[-1] - t[0]
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    t = grid.points
     lip = spec.lipschitz
-    slab_len = horizon if lip * horizon <= _SLAB_CONTRACTION else _SLAB_CONTRACTION / lip
+    slab_len = grid.horizon if lip * grid.horizon <= _SLAB_CONTRACTION else _SLAB_CONTRACTION / lip
     y = np.empty_like(w)
     y[:, 0] = spec.x0
     s = spec.sigma
     total_iter = 0
-    last_delta = 0.0
-    history: list[list[float]] = []
+    n_slabs = 0
     i0 = 0
     while i0 < t.size - 1:
         # widest slab [i0, i1] with t[i1] - t[i0] <= slab_len, at least one cell
@@ -157,105 +169,66 @@ def _picard_core(
         ts = t[i0 : i1 + 1]
         ws = w[:, i0 : i1 + 1]
         dts = np.diff(ts)
+        q = lip * (ts[-1] - ts[0] - 0.5 * dts[0])
+        if q >= 1.0:
+            raise NonConvergenceError(
+                f"picard slab starting at t={t[i0]:.6g} has contraction bound "
+                f"q = {q:.3g} >= 1; refine the grid"
+            )
         y0 = y[:, i0]
-        cur = np.tile(
-            (y0 if initial_level is None else np.full_like(y0, initial_level))[:, None],
-            (1, ts.size),
-        )
-        deltas: list[float] = []
-        for it in range(1, max_iter + 1):
-            rates = np.empty_like(cur)
-            for j in range(ts.size):
-                rates[:, j] = np.asarray(spec.drift(ts[j], cur[:, j] + s * ws[:, j]))
-            cells = 0.5 * (rates[:, :-1] + rates[:, 1:]) * dts
+        cur = np.tile(y0[:, None], (1, ts.size))
+        floor = _ROUNDING_ULPS * _EPS / (1.0 - q)
+        it = 0
+        while True:
+            rates = np.asarray(spec.drift(ts[None, :], cur + s * ws))
             nxt = np.empty_like(cur)
             nxt[:, 0] = y0
-            np.cumsum(cells, axis=1, out=nxt[:, 1:])
+            np.cumsum(0.5 * (rates[:, :-1] + rates[:, 1:]) * dts, axis=1, out=nxt[:, 1:])
+            del rates  # at most four (paths x slab) arrays are alive at once
             nxt[:, 1:] += y0[:, None]
             _check_finite(nxt, "picard", i0)
-            delta = float(np.max(np.abs(nxt - cur)))
-            deltas.append(delta)
+            # the old iterate is dead after this step: its buffer takes |nxt - cur|
+            delta = float(np.max(np.abs(np.subtract(nxt, cur, out=cur), out=cur)))
             cur = nxt
-            total_iter += 1
+            it += 1
             if delta < tol:
                 break
-        else:
-            raise NonConvergenceError(
-                f"picard slab starting at t={t[i0]:.6g} still at delta="
-                f"{deltas[-1]:.3e} after {max_iter} iterations (tol {tol:.1e})"
-            )
-        history.append(deltas)
-        last_delta = deltas[-1]
+            if it == 1:
+                budget = 1 + _PICARD_MARGIN
+                if q > 0.0:
+                    budget += math.ceil(math.log(tol / delta) / math.log(q))
+                # by the contraction no later iterate is larger than this
+                y_bound = float(np.max(np.abs(cur))) + delta / (1.0 - q)
+            # the exact max|y| only once delta is near the floor
+            if delta <= floor * y_bound and delta <= floor * float(np.max(np.abs(cur))):
+                break
+            if it >= budget:
+                raise NonConvergenceError(
+                    f"picard slab starting at t={t[i0]:.6g} still at delta="
+                    f"{delta:.3e} after {it} iterations (tol {tol:.1e}, q {q:.3g})"
+                )
+        total_iter += it
+        n_slabs += 1
         y[:, i0 : i1 + 1] = cur
         i0 = i1
-    return y, total_iter, last_delta, history
+    return SolverResult(y + s * w, y, total_iter, {"n_slabs": n_slabs})
 
 
-def _solve_matrix(
-    spec: SdeSpec,
-    grid: TimeGrid,
-    w: np.ndarray,
-    solver: str,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    initial_level: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, int, float, dict]:
+def solve(spec: SdeSpec, grid: TimeGrid, w: np.ndarray, solver: str, tol: float = 1e-10) -> SolverResult:
+    """Solve the equation along every row of the noise matrix w on grid."""
     t = grid.points
     if solver == "flow-euler":
         y = _flow_euler_core(spec, t, w)
-        return y + spec.sigma * w, y, 0, 0.0, {}
+        return SolverResult(y + spec.sigma * w, y)
     if solver == "flow-rk4":
         y = _flow_rk4_core(spec, t, w)
-        return y + spec.sigma * w, y, 0, 0.0, {}
+        return SolverResult(y + spec.sigma * w, y)
     if solver == "direct-euler":
         x = _direct_euler_core(spec, t, w)
-        return x, x - spec.sigma * w, 0, 0.0, {}
+        return SolverResult(x, x - spec.sigma * w)
     if solver == "picard":
-        y, iters, delta, history = _picard_core(spec, t, w, tol, max_iter, initial_level)
-        diag = {"delta_history": history, "n_slabs": len(history)}
-        return y + spec.sigma * w, y, iters, delta, diag
+        return solve_picard(spec, grid, w, tol)
     raise ValueError(f"unknown solver {solver!r}; pick one of {SOLVER_NAMES}")
-
-
-def solve_flow_transform(
-    spec: SdeSpec, noise: SamplePath, stepper: str = "rk4"
-) -> SolverResult:
-    """Integrate the noise-free ODE along one path, then add the noise back."""
-    if stepper not in ("euler", "rk4"):
-        raise ValueError("stepper must be 'euler' or 'rk4'")
-    solver = f"flow-{stepper}"
-    x, y, _, _, _ = _solve_matrix(spec, noise.grid, noise.values[None, :], solver)
-    return SolverResult(grid=noise.grid, x=x[0], y=y[0], solver=solver)
-
-
-def solve_direct_euler(spec: SdeSpec, noise: SamplePath) -> SolverResult:
-    """Left-endpoint Euler on the state itself; Y reported as X - sigma W."""
-    x, y, _, _, _ = _solve_matrix(spec, noise.grid, noise.values[None, :], "direct-euler")
-    return SolverResult(grid=noise.grid, x=x[0], y=y[0], solver="direct-euler")
-
-
-def solve_picard(
-    spec: SdeSpec,
-    noise: SamplePath,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    initial_level: float | None = None,
-) -> SolverResult:
-    """Contraction iteration of the integral equation, slab-restarted."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x, y, iters, delta, diag = _solve_matrix(
-        spec, noise.grid, noise.values[None, :], "picard", tol, max_iter, initial_level
-    )
-    return SolverResult(
-        grid=noise.grid,
-        x=x[0],
-        y=y[0],
-        solver="picard",
-        iterations=iters,
-        final_delta=delta,
-        diagnostics=diag,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +275,15 @@ def fou_oracle(
 def sde_mc_stats(
     spec: SdeSpec,
     grid: TimeGrid,
-    n_paths: int,
-    master_seed: int,
-    ctx: PhiContext,
+    w: np.ndarray,
     checkpoints: np.ndarray,
     oracle: tuple[np.ndarray, np.ndarray],
     solver: str = "flow-rk4",
-    generator: str = "circulant",
-) -> list[MonteCarloReport]:
-    """Ensemble mean/variance at checkpoints against a supplied oracle."""
-    from .fbm import ensemble_values
-
+    tol: float = 1e-10,
+) -> tuple[list[MonteCarloReport], SolverResult]:
+    """Solve along every row of w, then test the ensemble mean and variance
+    at the checkpoints against a supplied oracle. Returns the reports and
+    the solution."""
     cps = np.asarray(checkpoints, dtype=float)
     means_oracle, vars_oracle = oracle
     if cps.shape != np.shape(means_oracle) or cps.shape != np.shape(vars_oracle):
@@ -323,11 +294,10 @@ def sde_mc_stats(
         if j >= grid.points.size or grid.points[j] != t:
             raise ValueError(f"checkpoint t = {t} is not a grid point")
         idx.append(j)
-    w = ensemble_values(generator, grid, ctx.hurst, master_seed, n_paths)
-    x, _, _, _, _ = _solve_matrix(spec, grid, w, solver)
+    result = solve(spec, grid, w, solver, tol)
     reports = []
     for j, t, mu, var in zip(idx, cps, means_oracle, vars_oracle):
-        samples = x[:, j]
+        samples = result.x[:, j]
         reports.append(
             MonteCarloReport.from_samples(f"mean@t={t:g}", samples, float(mu))
         )
@@ -342,4 +312,4 @@ def sde_mc_stats(
                 samples.size,
             )
         )
-    return reports
+    return reports, result

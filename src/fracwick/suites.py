@@ -23,10 +23,10 @@ from . import __version__, svgplot
 from .config import ExperimentConfig
 from .errors import ConfigError, GridMismatchError
 from .fbm import HurstParameter, empirical_covariance, ensemble_values
-from .grids import SamplePath, TimeGrid, format_float, write_ensemble_csv
+from .grids import TimeGrid, format_float, write_ensemble_csv
 from .mc import MonteCarloReport
 from .phicalc import PhiContext
-from .sde import fou_oracle, make_fou, sde_mc_stats, solve_direct_euler, solve_flow_transform, solve_picard
+from .sde import fou_oracle, make_fou, sde_mc_stats
 from .stepfn import StepFunction
 from .verify import (
     ITO_MEAN_ZERO_CASES,
@@ -156,11 +156,12 @@ def _write_ladder_csv(table, path: str) -> None:
             writer.writerow([str(n), format_float(rms)])
 
 
-def _write_solution_csv(result, w_values: np.ndarray, path: str) -> None:
+def _write_solution_csv(path: str, *columns: np.ndarray) -> None:
+    """Columns t, x, y, w of one path."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "y", "w"])
-        for t, x, y, w in zip(result.grid.points, result.x, result.y, w_values):
+        for t, x, y, w in zip(*columns):
             writer.writerow([format_float(t), format_float(x), format_float(y), format_float(w)])
 
 
@@ -337,27 +338,12 @@ def _suite_solve_sde(cfg: ExperimentConfig, outdir: str):
     spec = make_fou(cfg.sde.lam, cfg.sde.sigma, cfg.sde.x0)
     cps = np.asarray(cfg.checkpoints, dtype=float)
     oracle = fou_oracle(cfg.sde.lam, cfg.sde.sigma, cfg.sde.x0, cps, ctx)
-    reports = sde_mc_stats(
-        spec,
-        grid,
-        cfg.n_paths,
-        cfg.master_seed,
-        ctx,
-        cps,
-        oracle,
-        solver=cfg.solver,
-    )
+    w = ensemble_values("circulant", grid, h, cfg.master_seed, cfg.n_paths)
+    reports, result = sde_mc_stats(spec, grid, w, cps, oracle, solver=cfg.solver, tol=cfg.tol)
     rows = [ReportRow.from_report(r, cfg.grid_n) for r in reports]
-
-    noise = SamplePath(grid, ensemble_values("circulant", grid, h, cfg.master_seed, 1)[0])
-    if cfg.solver == "picard":
-        result = solve_picard(spec, noise, tol=cfg.tol)
-    elif cfg.solver == "direct-euler":
-        result = solve_direct_euler(spec, noise)
-    else:
-        result = solve_flow_transform(spec, noise, stepper=cfg.solver.split("-")[1])
+    # row 0 of the ensemble is the stream-0 path
     csv_name = "solution_stream0.csv"
-    _write_solution_csv(result, noise.values, os.path.join(outdir, csv_name))
+    _write_solution_csv(os.path.join(outdir, csv_name), grid.points, result.x[0], result.y[0], w[0])
     return rows, [csv_name]
 
 

@@ -28,9 +28,9 @@ from .mc import EXACT_REL_TOL, MonteCarloReport, fsum
 from .phicalc import PhiContext
 from .stepfn import StepFunction
 from .wick import (
-    _guarded_norm_sq,
     _step_levels_on_path,
     diagonal_cell_integrals,
+    exponential_functional,
     left_corrections,
 )
 
@@ -349,10 +349,7 @@ def girsanov_check(
     of g. Reported as a paired z-score; g = 0 gives z = 0 exactly.
     """
     shift = drift_shift_at(g_fn, grid.horizon, ctx)
-    levels = _step_levels_on_path(g_fn, grid)
-    norm_sq = _guarded_norm_sq(g_fn, ctx)
-    integrals = (levels * np.diff(w, axis=1)).sum(axis=1)
-    eps = np.exp(integrals - 0.5 * norm_sq)
+    eps = exponential_functional(g_fn, w, ctx, grid)
     w_t = w[:, -1]
     lhs = fn.value(w_t + shift)
     rhs = fn.value(w_t) * eps
@@ -364,10 +361,7 @@ def exponential_mean_report(
     g_fn: StepFunction, w: np.ndarray, ctx: PhiContext, grid: TimeGrid
 ) -> MonteCarloReport:
     """Sample mean of the exponential functional against its exact mean 1."""
-    levels = _step_levels_on_path(g_fn, grid)
-    norm_sq = _guarded_norm_sq(g_fn, ctx)
-    integrals = (levels * np.diff(w, axis=1)).sum(axis=1)
-    eps = np.exp(integrals - 0.5 * norm_sq)
+    eps = exponential_functional(g_fn, w, ctx, grid)
     return MonteCarloReport.from_samples("exponential-mean-one", eps, 1.0)
 
 

@@ -5,18 +5,19 @@ cell by cell, the exact kernel integral that converts an ordinary product
 into a Wick product: for F = h(W) the correction on [t_i, t_{i+1}] is
 h'(W_{t_i}) (R(t_i, t_{i+1}) - R(t_i, t_i)), computed from R directly, never
 by quadrature of the singular kernel.
+
+Every integral takes the ensemble as a (paths x nodes) matrix of noise
+values on a grid and returns one value per row; one path is a one-row
+matrix.
 """
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridMismatchError
 from .functions import CylinderFunction
-from .grids import SamplePath, TimeGrid
-from .mc import MonteCarloReport, fsum
+from .grids import TimeGrid
+from .mc import MonteCarloReport
 from .phicalc import PhiContext, kernel_K_array, phi_norm_sq, rect_weight_matrix
 from .stepfn import StepFunction
 
@@ -52,29 +53,23 @@ def _step_levels_on_path(f: StepFunction, grid: TimeGrid) -> np.ndarray:
     return np.asarray(f(grid.points[:-1]), dtype=float)
 
 
-def wick_integral_deterministic(f: StepFunction, path: SamplePath) -> float:
-    """Integral of a deterministic step function against the path noise.
+def wick_integral_deterministic(f: StepFunction, w: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Integral of a deterministic step function against the noise, per row.
 
     For deterministic integrands the Wick correction vanishes, so this is
     the plain left-endpoint sum; its law is exactly N(0, ||f||^2_phi).
     """
-    levels = _step_levels_on_path(f, path.grid)
-    return fsum(levels * path.increments)
-
-
-@dataclass(frozen=True)
-class WickIntegralResult:
-    """Value of the corrected sum plus its decomposition."""
-
-    value: float
-    riemann_part: float
-    correction_part: float
+    levels = _step_levels_on_path(f, grid)
+    return (levels * np.diff(w, axis=1)).sum(axis=1)
 
 
 def cylinder_integral_terms(
     fn: CylinderFunction, values: np.ndarray, grid: TimeGrid, ctx: PhiContext
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(raw Riemann sums, correction sums) for h(W) dW, rows = paths."""
+    """(raw Riemann sums, correction sums) for h(W) dW, rows = paths.
+
+    The Wick integral of h(W_t) dW_t with left endpoints is raw - corr.
+    """
     w = np.atleast_2d(values)
     dw = np.diff(w, axis=1)
     left = w[:, :-1]
@@ -84,30 +79,17 @@ def cylinder_integral_terms(
     return raw, corr
 
 
-def wick_integral_cylinder(
-    fn: CylinderFunction, path: SamplePath, ctx: PhiContext
-) -> WickIntegralResult:
-    """Wick integral of h(W_t) dW_t with left endpoints and exact corrections."""
-    left = path.values[:-1]
-    raw = fsum(fn.value(left) * path.increments)
-    corr = fsum(fn.deriv(left) * left_corrections(path.grid, ctx))
-    return WickIntegralResult(value=raw - corr, riemann_part=raw, correction_part=corr)
-
-
-def _guarded_norm_sq(f: StepFunction, ctx: PhiContext) -> float:
-    """||f||^2_phi for an exponential functional; refused beyond MAX_NORM_SQ."""
+def exponential_functional(
+    f: StepFunction, w: np.ndarray, ctx: PhiContext, grid: TimeGrid
+) -> np.ndarray:
+    """exp( integral of f dW - ||f||^2_phi / 2 ) per row, mean-one by
+    construction; refused when ||f||^2_phi exceeds MAX_NORM_SQ."""
     norm_sq = phi_norm_sq(f, ctx)
     if norm_sq > MAX_NORM_SQ:
         raise ValueError(
             f"||f||^2_phi = {norm_sq:.3e} exceeds the overflow guard {MAX_NORM_SQ}"
         )
-    return norm_sq
-
-
-def exponential_functional(f: StepFunction, path: SamplePath, ctx: PhiContext) -> float:
-    """exp( integral of f dW - ||f||^2_phi / 2 ), mean-one by construction."""
-    norm_sq = _guarded_norm_sq(f, ctx)
-    return math.exp(wick_integral_deterministic(f, path) - 0.5 * norm_sq)
+    return np.exp(wick_integral_deterministic(f, w, grid) - 0.5 * norm_sq)
 
 
 def isometry_check(
@@ -128,8 +110,7 @@ def isometry_check(
     Compared pairwise on common random numbers.
     """
     if isinstance(integrand, StepFunction):
-        levels = _step_levels_on_path(integrand, grid)
-        lhs = (levels * np.diff(w, axis=1)).sum(axis=1) ** 2
+        lhs = wick_integral_deterministic(integrand, w, grid) ** 2
         rhs = np.full(lhs.shape, phi_norm_sq(integrand, ctx))
         label = name or "isometry:step"
         return MonteCarloReport.from_paired(label, lhs, rhs)

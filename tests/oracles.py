@@ -183,3 +183,40 @@ def circulant_fgn_full_spectrum(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     a[:, k] = scale * (z[:, 2 * k - 1] + 1j * z[:, 2 * k])
     a[:, big_m - k] = np.conj(a[:, k])
     return np.fft.fft(a, axis=1).real[:, :m]
+
+
+def trapezoid_linear_drift(
+    lam: float, c: float, sigma: float, x0: float, t: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """Implicit-trapezoid solution X of dX = (-lam X + c cos t) dt + sigma dW.
+
+    On the noise-free part Y = X - sigma W the trapezoid step is linear in
+    Y_{k+1}, so it is solved in closed form, node by node, with no
+    iteration: the fixed point that Picard's slab iteration converges to.
+    """
+    y = np.empty_like(w)
+    y[:, 0] = x0
+    for k in range(t.size - 1):
+        half = 0.5 * (t[k + 1] - t[k])
+        forcing = -lam * sigma * (w[:, k] + w[:, k + 1]) + c * (np.cos(t[k]) + np.cos(t[k + 1]))
+        y[:, k + 1] = (y[:, k] * (1.0 - lam * half) + half * forcing) / (1.0 + lam * half)
+    return y + sigma * w
+
+
+def linear_drift_piecewise_linear_noise(
+    lam: float, sigma: float, x0: float, knots: np.ndarray, w_knots: np.ndarray
+) -> np.ndarray:
+    """Exact X at the knots for dX = -lam X dt + sigma dW, W linear between knots.
+
+    Per piece W = a + b s, Y = X - sigma W solves Y' = -lam (Y + sigma W):
+    Y(s) = A - sigma b s + (Y_0 - A) exp(-lam s) with A = sigma (b / lam - a).
+    """
+    y = np.empty_like(w_knots)
+    y[:, 0] = x0
+    for k in range(knots.size - 1):
+        s = knots[k + 1] - knots[k]
+        a = w_knots[:, k]
+        b = (w_knots[:, k + 1] - a) / s
+        big_a = sigma * (b / lam - a)
+        y[:, k + 1] = big_a - sigma * b * s + (y[:, k] - big_a) * np.exp(-lam * s)
+    return y + sigma * w_knots

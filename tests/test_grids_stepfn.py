@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracwick import GridMismatchError, SamplePath, StepFunction, TimeGrid, write_ensemble_csv
+from fracwick import GridMismatchError, StepFunction, TimeGrid, write_ensemble_csv
 from fracwick.stepfn import common_refinement, levels_on, refine_breakpoints
 
 
@@ -71,57 +71,19 @@ class TestTimeGrid:
         assert grid.is_uniform()
 
 
-class TestSamplePath:
-    def test_increments(self):
-        grid = TimeGrid.uniform(3, 1.0)
-        path = SamplePath(grid, np.array([0.0, 1.0, -0.5, 2.0]))
-        np.testing.assert_allclose(path.increments, [1.0, -1.5, 2.5])
-
-    def test_restrict_keeps_matching_nodes(self):
-        fine = TimeGrid.uniform(8, 1.0)
-        path = SamplePath(fine, np.arange(9.0))
-        coarse = TimeGrid.uniform(2, 1.0)
-        sub = path.restrict(coarse)
-        np.testing.assert_array_equal(sub.values, [0.0, 4.0, 8.0])
-
-    def test_length_mismatch_raises(self):
-        grid = TimeGrid.uniform(3, 1.0)
-        with pytest.raises(GridMismatchError):
-            SamplePath(grid, np.zeros(3))
-
-    def test_nonfinite_values_raise(self):
-        grid = TimeGrid.uniform(1, 1.0)
-        with pytest.raises(ValueError):
-            SamplePath(grid, np.array([0.0, np.nan]))
-
-    def test_csv_round_trip_is_exact(self, tmp_path):
-        grid = TimeGrid(np.array([0.0, 1.0 / 3.0, 0.77, 1.0]))
-        path = SamplePath(grid, np.array([0.0, np.pi, -1.0 / 7.0, 2.0**-40]))
-        out = tmp_path / "path.csv"
-        path.to_csv(str(out))
-        back = SamplePath.from_csv(str(out))
-        np.testing.assert_array_equal(back.grid.points, path.grid.points)
-        np.testing.assert_array_equal(back.values, path.values)
-
-    def test_csv_header_is_checked(self, tmp_path):
-        out = tmp_path / "bad.csv"
-        out.write_text("a,b\n0,0\n")
-        with pytest.raises(ValueError, match="header"):
-            SamplePath.from_csv(str(out))
-
-    def test_ensemble_csv_is_long_format_and_exact(self, tmp_path):
-        grid = TimeGrid(np.array([0.0, 1.0 / 3.0, 1.0]))
-        vals = np.array([[0.0, np.pi, -1.0 / 7.0], [0.0, 2.0**-40, 1e300]])
-        out = tmp_path / "ensemble.csv"
-        write_ensemble_csv(grid, vals, str(out))
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["replication", "t", "value"]
-        assert [int(r[0]) for r in rows[1:]] == [0, 0, 0, 1, 1, 1]
-        np.testing.assert_array_equal([float(r[1]) for r in rows[1:]], np.tile(grid.points, 2))
-        np.testing.assert_array_equal([float(r[2]) for r in rows[1:]], vals.ravel())
-        with pytest.raises(GridMismatchError):
-            write_ensemble_csv(grid, vals[:, :2], str(out))
+def test_ensemble_csv_is_long_format_and_exact(tmp_path):
+    grid = TimeGrid(np.array([0.0, 1.0 / 3.0, 1.0]))
+    vals = np.array([[0.0, np.pi, -1.0 / 7.0], [0.0, 2.0**-40, 1e300]])
+    out = tmp_path / "ensemble.csv"
+    write_ensemble_csv(grid, vals, str(out))
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["replication", "t", "value"]
+    assert [int(r[0]) for r in rows[1:]] == [0, 0, 0, 1, 1, 1]
+    np.testing.assert_array_equal([float(r[1]) for r in rows[1:]], np.tile(grid.points, 2))
+    np.testing.assert_array_equal([float(r[2]) for r in rows[1:]], vals.ravel())
+    with pytest.raises(GridMismatchError):
+        write_ensemble_csv(grid, vals[:, :2], str(out))
 
 
 class TestStepFunction:

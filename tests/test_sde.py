@@ -1,10 +1,154 @@
-"""Linear-drift moment oracle against an independent incomplete-gamma route."""
+"""Solvers against closed-form and cross-solver oracles, Picard's budget,
+and the linear-drift moment oracle against an incomplete-gamma route."""
 
 import numpy as np
 import pytest
+import yaml
 
 import oracles
-from fracwick import HurstParameter, PhiContext, StepFunction, TimeGrid, fou_oracle, phi_norm_sq
+from fracwick import (
+    HurstParameter,
+    NonConvergenceError,
+    PhiContext,
+    SdeSpec,
+    StepFunction,
+    TimeGrid,
+    ensemble_values,
+    fou_oracle,
+    make_fou,
+    phi_norm_sq,
+)
+from fracwick import cli, sde
+from fracwick.mc import variance_stderr
+from fracwick.sde import SOLVER_NAMES, solve, solve_picard
+
+H = HurstParameter(0.7)
+
+
+def _noise(n, n_paths, seed):
+    grid = TimeGrid.uniform(n, 1.0)
+    return grid, ensemble_values("circulant", grid, H, seed, n_paths)
+
+
+def test_flow_euler_equals_direct_euler_for_nonlinear_drift():
+    # with X = Y + sigma W the two Euler recursions are the same arithmetic
+    # up to rounding, for any drift in t and x
+    spec = SdeSpec(
+        drift=lambda t, x: np.sin(x) * (1.0 + t) - x, sigma=0.7, x0=0.3, lipschitz=3.0, growth=3.0
+    )
+    grid, w = _noise(128, 16, 4)
+    flow = solve(spec, grid, w, "flow-euler").x
+    direct = solve(spec, grid, w, "direct-euler").x
+    assert np.max(np.abs(flow - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_picard_matches_closed_form_trapezoid_for_linear_drift():
+    # drift -lam x + c cos t: the trapezoid fixed point is a linear
+    # recursion; 6 slabs at lam = 3, and t enters the drift as a row
+    lam, c, tol = 3.0, 0.8, 1e-10
+    spec = SdeSpec(
+        drift=lambda t, x: -lam * x + c * np.cos(t), sigma=0.5, x0=1.0, lipschitz=lam, growth=lam + c
+    )
+    grid, w = _noise(120, 32, 3)
+    result = solve_picard(spec, grid, w, tol)
+    want = oracles.trapezoid_linear_drift(lam, c, 0.5, 1.0, grid.points, w)
+    assert result.diagnostics["n_slabs"] == 6
+    assert np.max(np.abs(result.x - want)) <= 10 * tol
+
+
+def test_flow_rk4_is_fourth_order_for_piecewise_linear_noise():
+    # noise linear between 4 knots, so the random ODE is smooth on every
+    # cell of each refinement and RK4 keeps its classical order
+    knots = np.linspace(0.0, 1.0, 5)
+    rng = np.random.default_rng(5)
+    w_knots = np.concatenate([np.zeros((16, 1)), rng.normal(size=(16, 4))], axis=1)
+    exact = oracles.linear_drift_piecewise_linear_noise(2.0, 1.0, 1.0, knots, w_knots)[:, -1]
+    spec = make_fou(2.0, 1.0, 1.0)
+    errors = []
+    for n in (8, 16, 32, 64):
+        grid = TimeGrid.uniform(n, 1.0)
+        w = np.stack([np.interp(grid.points, knots, row) for row in w_knots])
+        errors.append(np.max(np.abs(solve(spec, grid, w, "flow-rk4").x[:, -1] - exact)))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= 3.8), f"observed orders {orders}"
+
+
+@pytest.mark.parametrize("solver", SOLVER_NAMES)
+def test_row_zero_of_an_ensemble_is_the_one_row_solve(solver):
+    tol = 1e-10
+    grid, w = _noise(64, 32, 6)
+    spec = make_fou(1.0, 1.0, 1.0)
+    many = solve(spec, grid, w, solver, tol)
+    one = solve(spec, grid, w[:1], solver, tol)
+    assert many.x.shape == w.shape and one.x.shape == (1, w.shape[1])
+    if solver == "picard":
+        # Picard stops on the largest delta over all rows
+        assert np.max(np.abs(many.x[0] - one.x[0])) <= tol
+        assert np.max(np.abs(many.y[0] - one.y[0])) <= tol
+    else:
+        np.testing.assert_array_equal(many.x[0], one.x[0])
+        np.testing.assert_array_equal(many.y[0], one.y[0])
+
+
+def test_picard_iterations_follow_tol():
+    grid, w = _noise(64, 16, 7)
+    spec = make_fou(1.0, 1.0, 1.0)
+    loose = solve_picard(spec, grid, w, 1e-6).iterations
+    tight = solve_picard(spec, grid, w, 1e-10).iterations
+    assert 0 < loose < tight
+
+
+def test_solve_sde_solves_the_ensemble_once_at_the_config_tol(tmp_path, monkeypatch):
+    # the dispatcher must reach solve_picard through the module, so that a
+    # wrapper patched in there sees every solve
+    calls = []
+    original = sde.solve_picard
+
+    def spy(spec, grid, w, tol):
+        calls.append((w.shape[0], tol))
+        return original(spec, grid, w, tol)
+
+    monkeypatch.setattr(sde, "solve_picard", spy)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({"solver": "picard", "grid_n": 16, "n_paths": 8, "tol": 1e-6}))
+    assert cli.main(["solve-sde", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(8, 1e-6)]
+
+
+def test_picard_refuses_a_slab_that_need_not_contract():
+    # lam * dt / 2 = 1.25 on one cell: no budget can be derived
+    grid, w = _noise(40, 2, 0)
+    with pytest.raises(NonConvergenceError, match="contraction bound"):
+        solve_picard(make_fou(100.0, 1.0, 1.0), grid, w, 1e-10)
+
+
+@pytest.mark.parametrize("tol", [1.0e-10, 1.0e-20])
+@pytest.mark.parametrize("grid_n", [51, 56])
+def test_picard_budget_covers_slow_contraction(tmp_path, capsys, grid_n, tol):
+    # one cell per slab contracting by q = lam * dt / 2 = 0.98 at grid_n 51
+    # needs about 1200 iterations; tol 1e-20 lies below the rounding floor
+    cfg = {
+        "solver": "picard",
+        "sde": {"lam": 100.0},
+        "grid_n": grid_n,
+        "n_paths": 2,
+        "checkpoints": [1.0],
+        "tol": tol,
+    }
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["solve-sde", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert "NonConvergenceError" not in capsys.readouterr().err
+
+
+def test_variance_stderr_is_positive_in_small_samples():
+    # at m = 2 the large-sample m4 - s^4 is always negative; the exact
+    # finite-sample form (m4 + s^4) / m takes over
+    assert variance_stderr(np.array([0.0, 2.0])) == pytest.approx(np.sqrt((1.0 + 4.0) / 2.0), rel=1e-15)
+    x = np.random.default_rng(8).normal(size=2000)
+    c = x - x.mean()
+    s2 = np.sum(c**2) / 1999
+    assert variance_stderr(x) == pytest.approx(np.sqrt((np.mean(c**4) - s2 * s2) / 2000), rel=1e-12)
 
 
 # The step projection (2048 cells) is the oracle's only approximation. Its

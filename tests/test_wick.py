@@ -13,7 +13,6 @@ from fracwick import (
     GridMismatchError,
     HurstParameter,
     PhiContext,
-    SamplePath,
     StepFunction,
     TimeGrid,
     MonteCarloReport,
@@ -22,7 +21,6 @@ from fracwick import (
     isometry_check,
     phi_norm_sq,
     phi_rect_integral,
-    wick_integral_cylinder,
     wick_integral_deterministic,
 )
 from fracwick.mc import fmean, sample_stderr
@@ -32,45 +30,51 @@ CTX = PhiContext(HurstParameter(0.75))
 
 
 def _stream_zero(grid, master_seed):
-    """Circulant path on stream 0 of master_seed at H = 0.75."""
-    return SamplePath(grid, ensemble_values("circulant", grid, CTX.hurst, master_seed, 1)[0])
+    """One-row ensemble: the circulant path on stream 0 of master_seed at H = 0.75."""
+    return ensemble_values("circulant", grid, CTX.hurst, master_seed, 1)
+
+
+def _wick_integral(fn, w, grid, ctx):
+    raw, corr = cylinder_integral_terms(fn, w, grid, ctx)
+    return raw - corr
 
 
 class TestDeterministicIntegral:
     def test_hand_computed_sum(self):
         grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
-        path = SamplePath(grid, np.array([0.0, 2.0, -1.0]))
+        w = np.array([[0.0, 2.0, -1.0]])
         f = StepFunction(grid, np.array([3.0, 10.0]))
-        got = wick_integral_deterministic(f, path)
-        assert got == pytest.approx(3.0 * 2.0 + 10.0 * (-3.0), rel=1e-15)
+        got = wick_integral_deterministic(f, w, grid)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(3.0 * 2.0 + 10.0 * (-3.0), rel=1e-15)
 
     def test_indicator_reads_off_increment(self):
         grid = TimeGrid.uniform(4, 1.0)
-        path = SamplePath(grid, np.array([0.0, 1.0, 0.5, 2.0, 2.5]))
+        w = np.array([[0.0, 1.0, 0.5, 2.0, 2.5], [0.0, 0.0, 1.0, 3.0, 3.0]])
         f = StepFunction.indicator(0.25, 0.75)
-        assert wick_integral_deterministic(f, path) == pytest.approx(
-            2.0 - 1.0, rel=1e-15
-        )
+        got = wick_integral_deterministic(f, w, grid)
+        np.testing.assert_allclose(got, [2.0 - 1.0, 3.0 - 0.0], rtol=1e-15)
 
     @given(seed=st.integers(0, 10_000), c=st.floats(-4.0, 4.0))
     @settings(max_examples=50, deadline=None)
     def test_linear_in_integrand(self, seed, c):
         rng = np.random.default_rng(seed)
         grid = TimeGrid.uniform(8, 1.0)
-        path = SamplePath(grid, np.concatenate([[0.0], rng.normal(size=8)]))
+        w = np.concatenate([np.zeros((3, 1)), rng.normal(size=(3, 8))], axis=1)
         f = StepFunction(grid, rng.uniform(-1, 1, size=8))
         g = StepFunction(grid, rng.uniform(-1, 1, size=8))
-        lhs = wick_integral_deterministic(f.scaled(c) + g, path)
-        rhs = c * wick_integral_deterministic(f, path) + wick_integral_deterministic(
-            g, path
+        lhs = wick_integral_deterministic(f.scaled(c) + g, w, grid)
+        rhs = c * wick_integral_deterministic(f, w, grid) + wick_integral_deterministic(
+            g, w, grid
         )
-        assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
+        for p in range(3):
+            assert lhs[p] == pytest.approx(rhs[p], rel=1e-11, abs=1e-13)
 
     def test_step_function_on_coarser_grid_is_accepted(self):
         fine = TimeGrid.uniform(8, 1.0)
-        path = SamplePath(fine, np.linspace(0.0, 4.0, 9))
+        w = np.linspace(0.0, 4.0, 9)[None, :]
         f = StepFunction.constant(2.0, 1.0)
-        assert wick_integral_deterministic(f, path) == pytest.approx(8.0, rel=1e-14)
+        assert wick_integral_deterministic(f, w, fine)[0] == pytest.approx(8.0, rel=1e-14)
 
 
 class TestLeftCorrections:
@@ -91,16 +95,12 @@ class TestLeftCorrections:
 
 
 class TestCylinderIntegral:
-    def test_decomposition_is_exact(self):
-        path = _stream_zero(TimeGrid.uniform(64, 1.0), 1)
-        res = wick_integral_cylinder(CylinderFunction.monomial(2), path, CTX)
-        assert res.value == res.riemann_part - res.correction_part
-
     def test_constant_integrand_gives_terminal_value(self):
-        path = _stream_zero(TimeGrid.uniform(32, 1.0), 2)
-        res = wick_integral_cylinder(CylinderFunction.constant(1.0), path, CTX)
-        assert res.value == pytest.approx(path.values[-1], rel=1e-13)
-        assert res.correction_part == 0.0
+        grid = TimeGrid.uniform(32, 1.0)
+        w = _stream_zero(grid, 2)
+        raw, corr = cylinder_integral_terms(CylinderFunction.constant(1.0), w, grid, CTX)
+        assert (raw - corr)[0] == pytest.approx(w[0, -1], rel=1e-13)
+        assert corr[0] == 0.0
 
     def test_identity_integrand_matches_square_formula(self):
         # integral of W dW = (W_T^2 - T^{2H}) / 2 + residual; the per-path
@@ -110,12 +110,8 @@ class TestCylinderIntegral:
         ctx = PhiContext(h)
         grid = TimeGrid.uniform(512, 1.0)
         vals = ensemble_values("circulant", grid, h, 77, 200)
-        rho = np.empty(vals.shape[0])
-        for p in range(vals.shape[0]):
-            path = SamplePath(grid, vals[p])
-            res = wick_integral_cylinder(CylinderFunction.monomial(1), path, ctx)
-            exact = 0.5 * (vals[p, -1] ** 2 - 1.0)
-            rho[p] = res.value - exact
+        value = _wick_integral(CylinderFunction.monomial(1), vals, grid, ctx)
+        rho = value - 0.5 * (vals[:, -1] ** 2 - 1.0)
         rms = float(np.sqrt(np.mean(rho**2)))
         assert rms < 0.02, f"identity residual RMS {rms:.4f} >= 0.02 at n=512"
 
@@ -124,18 +120,22 @@ class TestCylinderIntegral:
         vals = ensemble_values("circulant", grid, CTX.hurst, 9, 3)
         fn = CylinderFunction.sine(1.5)
         raw, corr = cylinder_integral_terms(fn, vals, grid, CTX)
+        kernel = left_corrections(grid, CTX)
         for p in range(3):
-            res = wick_integral_cylinder(fn, SamplePath(grid, vals[p]), CTX)
-            assert raw[p] == pytest.approx(res.riemann_part, rel=1e-12, abs=1e-14)
-            assert corr[p] == pytest.approx(res.correction_part, rel=1e-12, abs=1e-14)
+            # the single-path sums, exactly rounded
+            left = vals[p, :-1]
+            want_raw = math.fsum(fn.value(left) * np.diff(vals[p]))
+            want_corr = math.fsum(fn.deriv(left) * kernel)
+            assert raw[p] == pytest.approx(want_raw, rel=1e-12, abs=1e-14)
+            assert corr[p] == pytest.approx(want_corr, rel=1e-12, abs=1e-14)
 
 
 class TestExponentialFunctional:
     def test_zero_path_frozen_value(self):
         grid = TimeGrid.uniform(4, 1.0)
-        flat = SamplePath(grid, np.zeros(5))
+        flat = np.zeros((1, 5))
         f = StepFunction.indicator(0.0, 1.0)
-        got = exponential_functional(f, flat, CTX)
+        got = exponential_functional(f, flat, CTX, grid)[0]
         assert got == pytest.approx(math.exp(-0.5), rel=1e-13), (
             f"exp(0 - ||f||^2/2) with ||f||^2 = 1 should be {math.exp(-0.5)}"
         )
@@ -144,26 +144,23 @@ class TestExponentialFunctional:
         grid = TimeGrid.uniform(64, 1.0)
         vals = ensemble_values("circulant", grid, CTX.hurst, 404, 4000)
         f = StepFunction.indicator(0.0, 1.0)
-        eps = np.array(
-            [exponential_functional(f, SamplePath(grid, v), CTX) for v in vals]
-        )
+        eps = exponential_functional(f, vals, CTX, grid)
         z = (fmean(eps) - 1.0) / sample_stderr(eps)
         assert abs(z) < 4.0, f"mean of the exponential functional: z = {z:.2f}"
 
     def test_overflow_guard(self):
         f = StepFunction.constant(40.0, 1.0)
-        flat = SamplePath(TimeGrid.uniform(2, 1.0), np.zeros(3))
         with pytest.raises(ValueError, match="overflow guard"):
-            exponential_functional(f, flat, CTX)
+            exponential_functional(f, np.zeros((1, 3)), CTX, TimeGrid.uniform(2, 1.0))
 
     def test_scale_invariance_in_time_units(self):
         # epsilon(f) depends on the path only through the integral of f dW
         grid = TimeGrid.uniform(8, 1.0)
-        path = _stream_zero(grid, 5)
+        w = _stream_zero(grid, 5)
         f = StepFunction.constant(0.7, 1.0)
-        got = exponential_functional(f, path, CTX)
+        got = exponential_functional(f, w, CTX, grid)[0]
         manual = math.exp(
-            0.7 * path.values[-1] - 0.5 * phi_norm_sq(f, CTX)
+            0.7 * w[0, -1] - 0.5 * phi_norm_sq(f, CTX)
         )
         assert got == pytest.approx(manual, rel=1e-13)
 
@@ -204,12 +201,7 @@ class TestIsometry:
         report = isometry_check(CylinderFunction.monomial(1), vals, ctx, grid=grid)
         assert report.verdict, f"H={h}: paired z = {report.z_score:.2f}"
 
-        lhs = np.empty(vals.shape[0])
-        for p in range(vals.shape[0]):
-            res = wick_integral_cylinder(
-                CylinderFunction.monomial(1), SamplePath(grid, vals[p]), ctx
-            )
-            lhs[p] = res.value**2
+        lhs = _wick_integral(CylinderFunction.monomial(1), vals, grid, ctx) ** 2
         z = (fmean(lhs) - 0.5) / sample_stderr(lhs)
         assert abs(z) < 4.0, f"H={h}: analytic second moment z = {z:.2f}"
 
@@ -225,12 +217,7 @@ class TestIsometry:
         assert want == pytest.approx(0.5, rel=1e-12), "closed forms must total 0.5"
         grid = TimeGrid.uniform(128, 1.0)
         vals = ensemble_values("circulant", grid, ctx.hurst, 24, 4000)
-        lhs = np.empty(vals.shape[0])
-        for p in range(vals.shape[0]):
-            res = wick_integral_cylinder(
-                CylinderFunction.monomial(1), SamplePath(grid, vals[p]), ctx
-            )
-            lhs[p] = res.value**2
+        lhs = _wick_integral(CylinderFunction.monomial(1), vals, grid, ctx) ** 2
         z = (fmean(lhs) - want) / sample_stderr(lhs)
         assert abs(z) < 4.0, f"second moment vs Beta closed forms: z = {z:.2f}"
 
