@@ -17,6 +17,7 @@ import yaml
 from .errors import ConfigError
 from .fbm import GENERATOR_NAMES
 from .sde import SOLVER_NAMES
+from .wick import MAX_NORM_SQ
 
 SUITE_NAMES = (
     "generate",
@@ -102,7 +103,7 @@ class ExperimentConfig:
 
 
 def _type_name(tp: type) -> str:
-    return {float: "number", int: "integer", str: "string", bool: "boolean", list: "list", dict: "mapping"}[tp]
+    return {float: "a number", int: "an integer", str: "a string", bool: "a boolean", list: "a list", dict: "a mapping"}[tp]
 
 
 def _check_type(key: str, value: Any, tp: type) -> Any:
@@ -111,13 +112,13 @@ def _check_type(key: str, value: Any, tp: type) -> Any:
             raise ConfigError(f"key '{key}' must be a boolean, got {value!r}")
         return value
     if isinstance(value, bool):
-        raise ConfigError(f"key '{key}' must be a {_type_name(tp)}, got a boolean")
+        raise ConfigError(f"key '{key}' must be {_type_name(tp)}, got a boolean")
     if tp is float:
         if not isinstance(value, (int, float)):
             raise ConfigError(f"key '{key}' must be a number, got {value!r}")
         return float(value)
     if not isinstance(value, tp):
-        raise ConfigError(f"key '{key}' must be a {_type_name(tp)}, got {value!r}")
+        raise ConfigError(f"key '{key}' must be {_type_name(tp)}, got {value!r}")
     return value
 
 
@@ -200,9 +201,10 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
         raise ConfigError(f"unknown residual {cfg.residual!r}; choose from {_RESIDUAL_CHOICES}")
     if cfg.tol <= 0:
         raise ConfigError("tol must be positive")
-    for t in cfg.checkpoints:
-        if not 0.0 < t <= cfg.horizon:
-            raise ConfigError(f"checkpoint {t} outside (0, horizon]")
+    if suite == "solve-sde":
+        for t in cfg.checkpoints:
+            if not 0.0 < t <= cfg.horizon:
+                raise ConfigError(f"checkpoints entry {t:g} outside (0, horizon {cfg.horizon:g}]")
     for n in cfg.grid_sizes:
         if n < 2:
             raise ConfigError("grid_sizes entries must be at least 2")
@@ -214,6 +216,13 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
         raise ConfigError(
             f"picard needs sde.lam * horizon / grid_n < 2, got "
             f"{cfg.sde.lam:g} * {cfg.horizon:g} / {cfg.grid_n}; use grid_n >= {need}"
+        )
+    # every girsanov weight has ||f||^2_phi <= T^2H, the unit level's norm;
+    # compared in logs, since the power itself can overflow
+    if suite == "girsanov" and 2.0 * cfg.hurst * math.log(cfg.horizon) > math.log(MAX_NORM_SQ):
+        raise ConfigError(
+            f"girsanov needs horizon ** (2 * hurst) <= {MAX_NORM_SQ:g}, "
+            f"got horizon {cfg.horizon:g} at hurst {cfg.hurst:g}"
         )
     return cfg
 

@@ -57,9 +57,6 @@ class HurstParameter:
     def is_long_memory(self) -> bool:
         return self.value > 0.5
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def covariance(s: float, t: float, h: HurstParameter) -> float:
     """R(s, t) = (t^2H + s^2H - |t - s|^2H) / 2, the fBm covariance.

@@ -1,7 +1,7 @@
 """Closed symbolic families of test functions with exact derivatives.
 
 Two families: one-variable cylinder integrands h(x) (polynomials up to
-degree 4, exp(ax), sin(ax), cos(ax)), and space-time fields f(s, x)
+degree 4, exp(ax), sin(ax)), and space-time fields f(s, x)
 (bivariate polynomials with time-polynomial coefficients, plus the same
 x-only transcendentals). Derivatives are exact by construction; a
 finite-difference cross-check lives in the test suite.
@@ -80,25 +80,15 @@ class CylinderFunction:
             description=f"sin({a:g}x)",
         )
 
-    @classmethod
-    def cosine(cls, a: float) -> "CylinderFunction":
-        a = float(a)
-        return cls(
-            value=lambda x: np.cos(a * x),
-            deriv=lambda x: -a * np.sin(a * x),
-            deriv2=lambda x: -a * a * np.cos(a * x),
-            description=f"cos({a:g}x)",
-        )
-
 
 @dataclass(frozen=True)
 class SpaceTimeFunction:
     """f(s, x) with exact partials in s and x.
 
     Kinds: bivariate polynomial (coeff[m, k] multiplies s^m x^k, x-degree
-    at most 4) or x-only exp/sin/cos. The s-antiderivative of df/ds with x
-    frozen is f(t1, x) - f(t0, x), which the residual harnesses use for
-    exact per-cell time integration.
+    at most 4) or an x-only cylinder function. The s-antiderivative of df/ds
+    with x frozen is f(t1, x) - f(t0, x), which the residual harnesses use
+    for exact per-cell time integration.
     """
 
     value: Callable[[Array, Array], Array]

@@ -43,25 +43,24 @@ class SdeSpec:
 
     The drift callable must be vectorized in t and x: the stepping solvers
     pass a scalar t and one column of states, Picard passes t as a
-    (1, nodes) row against a (paths, nodes) matrix of states. lipschitz and
-    growth are declared by the caller, never inferred; Picard sizes its
-    slabs and its iteration budget from lipschitz.
+    (1, nodes) row against a (paths, nodes) matrix of states. lipschitz is
+    declared by the caller, never inferred; Picard sizes its slabs and its
+    iteration budget from it.
     """
 
     drift: Callable[[float, np.ndarray], np.ndarray]
     sigma: float
     x0: float
     lipschitz: float
-    growth: float
     label: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("sigma", "x0", "lipschitz", "growth"):
+        for name in ("sigma", "x0", "lipschitz"):
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite")
-        if self.lipschitz < 0 or self.growth < 0:
-            raise ValueError("declared constants must be nonnegative")
+        if self.lipschitz < 0:
+            raise ValueError("the Lipschitz constant must be nonnegative")
 
 
 def make_fou(lam: float, sigma: float, x0: float) -> SdeSpec:
@@ -73,7 +72,6 @@ def make_fou(lam: float, sigma: float, x0: float) -> SdeSpec:
         sigma=sigma,
         x0=x0,
         lipschitz=lam,
-        growth=lam,
         label=f"fou(lam={lam:g},sigma={sigma:g},x0={x0:g})",
     )
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnsupportedCaseError
-from .fbm import _BLOCK_CELLS, covariance, ensemble_values
+from .fbm import _BLOCK_CELLS, ensemble_values
 from .functions import CylinderFunction, SpaceTimeFunction
 from .grids import TimeGrid
 from .mc import EXACT_REL_TOL, MonteCarloReport, fsum
@@ -324,14 +324,11 @@ def wentzell_residuals(case: WentzellCase, w: np.ndarray, ctx: PhiContext, grid:
 
 
 def drift_shift_at(g_fn: StepFunction, t: float, ctx: PhiContext) -> float:
-    """Integral over [0, t] of (Phi g)(s) ds, exactly, via R differences."""
+    """Integral over [0, t] of (Phi g)(s) ds: sum_j g_j (R(t, u_{j+1}) - R(t, u_j))."""
     pts = g_fn.grid.points
-    h = ctx.hurst
-    terms = [
-        lv * (covariance(t, pts[j + 1], h) - covariance(t, pts[j], h))
-        for j, lv in enumerate(g_fn.levels)
-    ]
-    return fsum(np.array(terms))
+    two_h = 2.0 * ctx.h
+    r_t = 0.5 * (pts**two_h + t**two_h - np.abs(pts - t) ** two_h)
+    return fsum(g_fn.levels * (r_t[1:] - r_t[:-1]))
 
 
 def girsanov_check(

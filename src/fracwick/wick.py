@@ -4,7 +4,8 @@ The discrete integral of a random integrand F against the noise subtracts,
 cell by cell, the exact kernel integral that converts an ordinary product
 into a Wick product: for F = h(W) the correction on [t_i, t_{i+1}] is
 h'(W_{t_i}) (R(t_i, t_{i+1}) - R(t_i, t_i)), computed from R directly, never
-by quadrature of the singular kernel.
+by quadrature of the singular kernel. The second-moment identity is exact on
+the grid as well: both of its kernels are differences of R.
 
 Every integral takes the ensemble as a (paths x nodes) matrix of noise
 values on a grid and returns one value per row; one path is a one-row
@@ -15,10 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GridMismatchError
+from .fbm import covariance_grid
 from .functions import CylinderFunction
 from .grids import TimeGrid
 from .mc import MonteCarloReport
-from .phicalc import PhiContext, kernel_K_array, phi_norm_sq, rect_weight_matrix
+from .phicalc import PhiContext, phi_norm_sq
 from .stepfn import StepFunction
 
 # Guard for the exponential functional: exponents beyond this overflow.
@@ -101,13 +103,13 @@ def isometry_check(
 ) -> MonteCarloReport:
     """Second-moment identity for the Wick integral over [0, T].
 
-    Left side: per-path squared integral. Right side: the exact rectangle
-    double sum of the frozen integrand (the ||.||^2_phi part) plus the
-    symmetrized double integral of the phi-derivatives,
-    int int D_s F_t D_t F_s ds dt, by the 2-d trapezoid rule. For F = h(W)
-    the derivative factorizes as D_s F_t = h'(W_t) K(s, t), so the second
-    part is a quadratic form in h'(W) with the matrix K(s, t) K(t, s).
-    Compared pairwise on common random numbers.
+    Left side: per-path squared integral. For h(W) it is S^2 with
+    S = sum_i h(W_i) dW_i - h'(W_i) A_ii, exactly the divergence of
+    sum_i h(W_i) 1_(t_i, t_{i+1}], so the divergence isometry holds on the
+    grid: E[S^2] = E[f.Gamma.f + d.(A o A^T).d], f = h(W_left), d = h'(W_left),
+    Gamma_ij = Cov(dW_i, dW_j) the phi rectangle matrix and A_ij =
+    R(t_i, t_{j+1}) - R(t_i, t_j) = Cov(W_i, dW_j). The right side is that
+    per-path form, or ||f||^2_phi for a step f. Compared pairwise.
     """
     if isinstance(integrand, StepFunction):
         lhs = wick_integral_deterministic(integrand, w, grid) ** 2
@@ -116,19 +118,21 @@ def isometry_check(
         return MonteCarloReport.from_paired(label, lhs, rhs)
     raw, corr = cylinder_integral_terms(integrand, w, grid, ctx)
     lhs = (raw - corr) ** 2
-    rect = rect_weight_matrix(grid.points, ctx)
+    # each n x n or paths x n array is dropped once used: with two checks
+    # in flight this bounds the suite's peak memory
+    r = covariance_grid(grid.points, ctx.hurst)
+    gamma = r[1:, 1:] - r[:-1, 1:]  # rect_weight_matrix's terms, in its order
+    gamma -= r[1:, :-1]
+    gamma += r[:-1, :-1]
+    a = r[:-1, 1:] - r[:-1, :-1]
+    del r
+    cross_kernel = a * a.T
+    del a
     frozen = integrand.value(w[:, :-1])
-    norm_sq = np.einsum("pi,pi->p", frozen @ rect, frozen)
-    pts = grid.points
-    dt = grid.spacings
-    weights = np.empty(pts.size)
-    weights[0] = 0.5 * dt[0]
-    weights[-1] = 0.5 * dt[-1]
-    weights[1:-1] = 0.5 * (dt[:-1] + dt[1:])
-    k_st = kernel_K_array(pts[:, None], pts[None, :], ctx)
-    cross_kernel = k_st * k_st.T
-    weighted = integrand.deriv(w) * weights
-    cross = np.einsum("pi,pi->p", weighted @ cross_kernel, weighted)
+    norm_sq = np.einsum("pi,pi->p", frozen @ gamma, frozen)
+    del frozen, gamma
+    deriv = integrand.deriv(w[:, :-1])
+    cross = np.einsum("pi,pi->p", deriv @ cross_kernel, deriv)
     rhs = norm_sq + cross
     label = name or f"isometry:{integrand.description}"
     return MonteCarloReport.from_paired(label, lhs, rhs)

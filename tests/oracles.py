@@ -9,6 +9,8 @@ the two routes is what the tests assert.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import integrate, special
 
@@ -85,6 +87,34 @@ def cross_kernel_integral(horizon: float, h: float) -> float:
     T^{4H}/2 minus the phi-weighted covariance integral.
     """
     return 0.5 * horizon ** (4.0 * h) - phi_weighted_covariance_integral(horizon, h)
+
+
+def wick_square_isserlis(points: np.ndarray, h: float) -> float:
+    """E[S^2] for the discrete Wick integral S = sum_i (W_i dW_i - E[W_i dW_i])
+    of h(x) = x, with W_i = W_{t_i} and dW_i = W_{t_{i+1}} - W_{t_i}.
+
+    S is a centred sum, so E[S^2] = sum_ij Cov(W_i dW_i, W_j dW_j), and
+    Isserlis' theorem gives each covariance of two Gaussian products as
+    E[W_i W_j] E[dW_i dW_j] + E[W_i dW_j] E[dW_i W_j]. Every expectation is a
+    difference of the covariance R, evaluated pointwise and summed with fsum.
+    """
+    t = [float(v) for v in points]
+    n = len(t) - 1
+
+    def cov(a: float, b: float) -> float:
+        return 0.5 * (a ** (2 * h) + b ** (2 * h) - abs(a - b) ** (2 * h))
+
+    def w_dw(i: int, j: int) -> float:
+        return cov(t[i], t[j + 1]) - cov(t[i], t[j])
+
+    def dw_dw(i: int, j: int) -> float:
+        return w_dw(i + 1, j) - w_dw(i, j)
+
+    return math.fsum(
+        cov(t[i], t[j]) * dw_dw(i, j) + w_dw(i, j) * w_dw(j, i)
+        for i in range(n)
+        for j in range(n)
+    )
 
 
 def fou_variance_gammainc(

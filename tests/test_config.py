@@ -26,3 +26,44 @@ def test_exponent_floats_are_numbers(tmp_path):
 def test_quoted_numbers_stay_strings(tmp_path, capsys, text):
     assert _run(tmp_path, "solve-sde", text) == 2
     assert "key 'tol' must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('grid_n: "64"\n', "key 'grid_n' must be an integer, got '64'"),
+        ("grid_n: true\n", "key 'grid_n' must be an integer, got a boolean"),
+        ("plots: 1\n", "key 'plots' must be a boolean, got 1"),
+        ("generators: cholesky\n", "key 'generators' must be a list, got 'cholesky'"),
+    ],
+)
+def test_wrong_type_exits_2(tmp_path, capsys, text, message):
+    assert _run(tmp_path, "generate", text) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unknown_sde_key_exits_2(tmp_path, capsys):
+    assert _run(tmp_path, "solve-sde", "sde:\n  lam: 1.0\n  lamda: 2.0\n") == 2
+    assert "unknown key(s) under 'sde': ['lamda']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["generate", "verify-ito", "isometry"])
+def test_short_horizon_runs_without_checkpoints(tmp_path, suite):
+    # checkpoints belong to solve-sde; their default (0.5, 1.0) must not
+    # block a suite that never reads them
+    assert _run(tmp_path, suite, "horizon: 0.5\ngrid_n: 16\nn_paths: 64\n") == 0
+
+
+def test_solve_sde_checkpoints_must_lie_in_horizon(tmp_path, capsys):
+    assert _run(tmp_path, "solve-sde", "horizon: 0.5\ngrid_n: 16\nn_paths: 8\n") == 2
+    assert "checkpoints" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", ["1000.0", "1.0e300"])
+def test_girsanov_horizon_beyond_overflow_guard_exits_2(tmp_path, capsys, horizon):
+    # the unit level's norm T^2H is 1.6e4 at T = 1000, past the guard, and
+    # overflows a float at T = 1e300
+    assert _run(tmp_path, "girsanov", f"horizon: {horizon}\ngrid_n: 16\nn_paths: 8\n") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "horizon" in err
+    assert "Traceback" not in err

@@ -34,7 +34,7 @@ def test_flow_euler_equals_direct_euler_for_nonlinear_drift():
     # with X = Y + sigma W the two Euler recursions are the same arithmetic
     # up to rounding, for any drift in t and x
     spec = SdeSpec(
-        drift=lambda t, x: np.sin(x) * (1.0 + t) - x, sigma=0.7, x0=0.3, lipschitz=3.0, growth=3.0
+        drift=lambda t, x: np.sin(x) * (1.0 + t) - x, sigma=0.7, x0=0.3, lipschitz=3.0
     )
     grid, w = _noise(128, 16, 4)
     flow = solve(spec, grid, w, "flow-euler").x
@@ -47,7 +47,7 @@ def test_picard_matches_closed_form_trapezoid_for_linear_drift():
     # recursion; 6 slabs at lam = 3, and t enters the drift as a row
     lam, c, tol = 3.0, 0.8, 1e-10
     spec = SdeSpec(
-        drift=lambda t, x: -lam * x + c * np.cos(t), sigma=0.5, x0=1.0, lipschitz=lam, growth=lam + c
+        drift=lambda t, x: -lam * x + c * np.cos(t), sigma=0.5, x0=1.0, lipschitz=lam
     )
     grid, w = _noise(120, 32, 3)
     result = solve_picard(spec, grid, w, tol)

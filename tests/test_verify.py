@@ -13,6 +13,7 @@ from fracwick import (
     PhiContext,
     StepFunction,
     TimeGrid,
+    covariance,
     ensemble_values,
     exponential_mean_report,
     girsanov_check,
@@ -26,6 +27,7 @@ from fracwick import (
 )
 from fracwick import cli, verify
 from fracwick.functions import CylinderFunction
+from fracwick.mc import fsum
 from fracwick.wick import MAX_NORM_SQ, left_corrections
 
 HURSTS = (0.55, 0.7, 0.9)
@@ -131,6 +133,35 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8, f"residual call allocated {peak / 2**20:.1f} MiB"
+
+
+def _drift_shift_loop(g, t, ctx):
+    """The scalar covariance loop that drift_shift_at replaced."""
+    pts = g.grid.points
+    terms = [
+        lv * (covariance(t, pts[j + 1], ctx.hurst) - covariance(t, pts[j], ctx.hurst))
+        for j, lv in enumerate(g.levels)
+    ]
+    return fsum(np.array(terms))
+
+
+class TestDriftShift:
+    @pytest.mark.parametrize("h", HURSTS)
+    @pytest.mark.parametrize("case", ["w", "w2", "expw", "zero"])
+    def test_registry_shift_equals_scalar_loop_bitwise(self, h, case):
+        # same operands in the same order: the girsanov report keeps its bits
+        ctx = PhiContext(HurstParameter(h))
+        _, g = verify.girsanov_case_registry(1.0)[case]
+        assert verify.drift_shift_at(g, 1.0, ctx) == _drift_shift_loop(g, 1.0, ctx)
+
+    @pytest.mark.parametrize("h", HURSTS)
+    @pytest.mark.parametrize("t", [1.0, 0.4, 0.25])
+    def test_matches_scalar_loop_to_rounding(self, h, t):
+        # numpy's vectorized power may differ from the scalar one by an ulp
+        ctx = PhiContext(HurstParameter(h))
+        g = StepFunction(TimeGrid(np.array([0.0, 0.25, 0.6, 1.0])), np.array([1.5, -0.3, 0.8]))
+        tol = 16 * np.finfo(float).eps * np.abs(g.levels).sum()
+        assert abs(verify.drift_shift_at(g, t, ctx) - _drift_shift_loop(g, t, ctx)) <= tol
 
 
 class TestOverflowGuard:

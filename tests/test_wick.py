@@ -16,6 +16,7 @@ from fracwick import (
     StepFunction,
     TimeGrid,
     MonteCarloReport,
+    covariance_grid,
     ensemble_values,
     exponential_functional,
     isometry_check,
@@ -220,6 +221,37 @@ class TestIsometry:
         lhs = _wick_integral(CylinderFunction.monomial(1), vals, grid, ctx) ** 2
         z = (fmean(lhs) - want) / sample_stderr(lhs)
         assert abs(z) < 4.0, f"second moment vs Beta closed forms: z = {z:.2f}"
+
+    @pytest.mark.parametrize("h", [0.55, 0.7, 0.9])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_oracle_is_exact_discrete_second_moment(self, n, h):
+        # The 2n rows +-sqrt(n) * (column k of the Cholesky factor of R) have
+        # empirical second moments equal to R, so the mean of the per-path
+        # right side must be the exact E[S^2] of the discrete Wick integral.
+        ctx = PhiContext(HurstParameter(h))
+        grid = TimeGrid.uniform(n, 1.0)
+        chol = np.linalg.cholesky(covariance_grid(grid.points[1:], ctx.hurst))
+        cols = math.sqrt(n) * chol.T
+        vals = np.zeros((2 * n, n + 1))
+        vals[:n, 1:] = cols
+        vals[n:, 1:] = -cols
+        report = isometry_check(CylinderFunction.monomial(1), vals, ctx, grid=grid)
+        want = oracles.wick_square_isserlis(grid.points, h)
+        if n == 1:
+            # a single cell has W_0 = 0: both sides vanish identically
+            assert want == 0.0 and report.oracle == 0.0
+        else:
+            assert report.oracle == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_coarse_grid_has_no_oracle_bias(self, degree):
+        # At 8 cells a quadrature of the cross term is biased by many
+        # standard errors at this many paths; the exact form is not.
+        ctx = PhiContext(HurstParameter(0.7))
+        grid = TimeGrid.uniform(8, 1.0)
+        vals = ensemble_values("circulant", grid, ctx.hurst, 7, 20_000)
+        report = isometry_check(CylinderFunction.monomial(degree), vals, ctx, grid=grid)
+        assert report.verdict, f"degree {degree}: z = {report.z_score:.2f}"
 
     def test_quadratic_cylinder(self):
         grid = TimeGrid.uniform(64, 1.0)
