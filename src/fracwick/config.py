@@ -32,6 +32,14 @@ SUITE_NAMES = (
 
 _RESIDUAL_CHOICES = ("ito", "product-rule", "wentzell")
 
+# The largest power of the horizon a suite forms: fBm scales as T^H, the
+# isometry check's S for h(x) = x^2 as T^3H, its per-path S^2 as T^6H, and
+# the squared deviations of S^2 behind that check's stderr as T^12H. The
+# bound leaves 18 decades below the largest double for the path count and
+# the tails of a degree-12 Gaussian polynomial.
+_HORIZON_POWER = 12
+_MAX_HORIZON_POWER = 1e290
+
 # key -> (python type, brief description); bool checked before int since
 # bool is an int subclass in Python.
 _COMMON_KEYS = {
@@ -189,6 +197,13 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
         raise ConfigError(f"hurst must lie in (0, 1), got {cfg.hurst}")
     if cfg.horizon <= 0:
         raise ConfigError("horizon must be positive")
+    # compared in logs, since the power itself can overflow; "not <=" also
+    # refuses a NaN horizon
+    if not _HORIZON_POWER * cfg.hurst * math.log(cfg.horizon) <= math.log(_MAX_HORIZON_POWER):
+        raise ConfigError(
+            f"horizon ** ({_HORIZON_POWER} * hurst) must not exceed {_MAX_HORIZON_POWER:g}, "
+            f"got horizon {cfg.horizon:g} at hurst {cfg.hurst:g}"
+        )
     if not 0 <= cfg.master_seed < 2**64:
         raise ConfigError("master_seed must satisfy 0 <= seed < 2**64")
     if cfg.n_paths < 2:

@@ -7,7 +7,9 @@ recursion (uniform grids, O(n^2) reference). They share one batched core,
 `ensemble_values`, which puts replication i in row i, drawn from stream i
 of `rng.SeedSpec`; a single path is a one-row slice of an ensemble. Rows
 are drawn, transformed and written into the result block by block, so the
-sampler's peak memory is its result plus one block.
+sampler's peak memory is its result plus one block. Each block's normals
+come from one `rng.standard_normal_rows` call, which keys all the block's
+streams at once and gives the bits of one fresh generator per stream.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import EmbeddingFailureError, SingularCovarianceError
 from .grids import TimeGrid
-from .rng import SeedSpec
+from .rng import standard_normal_rows
 
 GENERATOR_NAMES = ("cholesky", "circulant", "hosking")
 
@@ -264,9 +266,7 @@ def ensemble_values(
     z = np.empty((min(rows, n_paths), draws))
     for lo in range(0, n_paths, rows):
         hi = min(lo + rows, n_paths)
-        zb = z[: hi - lo]
-        for j in range(hi - lo):
-            zb[j] = SeedSpec(master_seed, lo + j).generator().standard_normal(draws)
+        zb = standard_normal_rows(master_seed, lo, z[: hi - lo])
         if method == "cholesky":
             out[lo:hi, 1:] = zb @ chol_t
             continue

@@ -1,7 +1,6 @@
 """Time grids and the ensemble CSV format."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +87,15 @@ class TimeGrid:
 
 
 def write_ensemble_csv(grid: TimeGrid, values: np.ndarray, out_path: str) -> None:
-    """Long-format CSV (replication, t, value) of an ensemble matrix on grid."""
+    """Long-format CSV (replication, t, value) of an ensemble matrix on grid.
+
+    The t column is formatted once per grid, and each replication goes out
+    in one write; no field can need CSV quoting.
+    """
     if values.ndim != 2 or values.shape[1] != grid.points.size:
         raise GridMismatchError("ensemble rows need one value per grid point")
+    times = [format_float(t) for t in grid.points]
     with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["replication", "t", "value"])
-        for k, row in enumerate(values):
-            for t, v in zip(grid.points, row):
-                writer.writerow([k, format_float(t), format_float(v)])
+        fh.write("replication,t,value\n")
+        for k, row in enumerate(values.tolist()):
+            fh.write("".join(f"{k},{t},{v:{CSV_FLOAT_FORMAT}}\n" for t, v in zip(times, row)))

@@ -3,8 +3,8 @@
 Every suite consumes a validated ExperimentConfig, writes a report.csv of
 verdict rows plus suite-specific artifacts into the output directory, and
 returns a RunManifest. All CSV and SVG artifacts are byte-reproducible for
-a fixed config; manifest.json carries the timestamp and wall clock and is
-the one file excluded from that guarantee.
+a fixed config; manifest.json carries the timestamp, wall clock, worker
+cap and library versions and is the one file excluded from that guarantee.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import datetime as _dt
 import hashlib
 import json
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -126,6 +127,9 @@ class RunManifest:
     config_sha256: str
     generated_utc: str
     wall_seconds: float
+    threads: int
+    numpy: str
+    python: str
     rows: int
     failures: tuple[str, ...]
     all_pass: bool
@@ -136,7 +140,11 @@ class RunManifest:
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
-    canonical = json.dumps(asdict(cfg), sort_keys=True)
+    """SHA-256 of the experiment: every key but output_dir and plots, which
+    choose where artifacts go and which are drawn, not what is computed."""
+    fields = asdict(cfg)
+    del fields["output_dir"], fields["plots"]
+    canonical = json.dumps(fields, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -435,6 +443,7 @@ _SUITE_RUNNERS = {
 def run_suite(cfg: ExperimentConfig) -> RunManifest:
     """Run one suite, write its artifacts, and return the manifest."""
     start = time.monotonic()
+    threads = thread_count()
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     try:
@@ -478,6 +487,9 @@ def run_suite(cfg: ExperimentConfig) -> RunManifest:
         config_sha256=config_digest(cfg),
         generated_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
         wall_seconds=round(time.monotonic() - start, 3),
+        threads=threads,
+        numpy=np.__version__,
+        python=sys.version.split()[0],
         rows=len(rows),
         failures=failures,
         all_pass=not failures,

@@ -9,6 +9,7 @@ the two routes is what the tests assert.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -250,3 +251,18 @@ def linear_drift_piecewise_linear_noise(
         big_a = sigma * (b / lam - a)
         y[:, k + 1] = big_a - sigma * b * s + (y[:, k] - big_a) * np.exp(-lam * s)
     return y + sigma * w_knots
+
+
+def write_ensemble_csv_per_cell(points: np.ndarray, values: np.ndarray, out_path: str) -> None:
+    """Long-format ensemble CSV written one csv.writer row per cell.
+
+    The straightforward form of `grids.write_ensemble_csv`: every time and
+    every value is formatted where it is written (17 significant digits),
+    and the csv module does the quoting and line endings.
+    """
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["replication", "t", "value"])
+        for k, row in enumerate(values):
+            for t, v in zip(points, row):
+                writer.writerow([k, format(float(t), ".17g"), format(float(v), ".17g")])

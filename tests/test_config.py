@@ -1,6 +1,8 @@
 """Config files as written by hand: YAML 1.2 numbers through the CLI."""
 
+import csv
 import json
+import math
 
 import pytest
 
@@ -64,6 +66,38 @@ def test_girsanov_horizon_beyond_overflow_guard_exits_2(tmp_path, capsys, horizo
     # the unit level's norm T^2H is 1.6e4 at T = 1000, past the guard, and
     # overflows a float at T = 1e300
     assert _run(tmp_path, "girsanov", f"horizon: {horizon}\ngrid_n: 16\nn_paths: 8\n") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "horizon" in err
+    assert "Traceback" not in err
+
+
+# isometry's h(x) = x^2 check squares S^2 ~ T^6H in its stderr, the largest
+# power of the horizon any suite forms; the config bounds T^12H by 1e290
+HORIZON_LIMIT_SUITES = ["generate", "verify-ito", "verify-product-rule", "verify-wentzell", "isometry", "converge"]
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.7, 0.9])
+@pytest.mark.parametrize("suite", HORIZON_LIMIT_SUITES)
+def test_horizon_runs_at_its_limit_and_exits_2_above(tmp_path, capsys, suite, hurst):
+    limit = 1e290 ** (1.0 / (12.0 * hurst))
+    text = f"hurst: {hurst}\ngrid_n: 16\nn_paths: 8\nhorizon: "
+    # Degenerate checks (stderr 0) may fail on a rounding-level gap at this
+    # scale, so the run may exit 1; nothing may overflow or raise.
+    assert _run(tmp_path, suite, text + f"{limit * (1.0 - 1e-12)!r}\n") in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    with open(tmp_path / "out" / "report.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            assert math.isfinite(float(row["estimate"])), row
+            assert math.isfinite(float(row["stderr"])), row
+    assert _run(tmp_path, suite, text + f"{limit * (1.0 + 1e-9)!r}\n") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "horizon" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("horizon", [".nan", ".inf", "1.0e300"])
+def test_non_finite_or_huge_horizon_exits_2(tmp_path, capsys, horizon):
+    assert _run(tmp_path, "generate", f"horizon: {horizon}\ngrid_n: 16\nn_paths: 8\n") == 2
     err = capsys.readouterr().err
     assert "config error" in err and "horizon" in err
     assert "Traceback" not in err

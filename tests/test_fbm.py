@@ -1,6 +1,8 @@
 """Path generators: law, determinism, and cross-generator agreement."""
 
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,9 +22,10 @@ from fracwick import (
     empirical_covariance,
     ensemble_values,
 )
-from fracwick import fbm
+from fracwick import fbm, rng
 from fracwick.fbm import _circulant_fgn, circulant_eigenvalues, fgn_autocovariance
 from fracwick.mc import sample_stderr
+from fracwick.rng import standard_normal_rows
 
 GENERATORS = ["cholesky", "circulant", "hosking"]
 
@@ -164,6 +167,50 @@ class TestStreamContract:
             z = SeedSpec(9, i).generator().standard_normal(grid.n_intervals)
             assert vals[i, 0] == 0.0
             np.testing.assert_allclose(vals[i, 1:], chol @ z, rtol=1e-12, atol=0.0)
+
+
+class TestBlockStreams:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
+
+    @pytest.mark.parametrize("master_seed", SEEDS)
+    @pytest.mark.parametrize("first", [0, 2**32 - 300])
+    def test_keys_equal_seed_sequence_state(self, master_seed, first):
+        keys = rng._stream_keys(master_seed, first, 300)
+        want = [
+            np.random.SeedSequence(entropy=master_seed, spawn_key=(first + j,)).generate_state(2, np.uint64)
+            for j in range(300)
+        ]
+        assert keys.dtype == np.uint64
+        np.testing.assert_array_equal(keys, want)
+
+    def test_two_word_stream_index_rejected(self):
+        rng._stream_keys(3, 2**32 - 1, 1)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            rng._stream_keys(3, 2**32 - 1, 2)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            standard_normal_rows(3, 2**32, np.empty((1, 4)))
+
+    @pytest.mark.parametrize("master_seed, first", [(0, 0), (2**64 - 1, 13), (2**32, 2**32 - 5)])
+    def test_rows_equal_fresh_generators(self, master_seed, first):
+        out = standard_normal_rows(master_seed, first, np.empty((5, 37)))
+        for j in range(5):
+            want = SeedSpec(master_seed, first + j).generator().standard_normal(37)
+            assert out[j].tobytes() == want.tobytes()
+
+    def test_concurrent_blocks_match_sequential(self):
+        # a generator shared between calls would interleave streams
+        blocks = [(first, np.empty((200, 64))) for first in range(0, 1600, 200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(standard_normal_rows, 7, first, b) for first, b in blocks]
+                for f in futures:
+                    f.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        sequential = standard_normal_rows(7, 0, np.empty((1600, 64)))
+        assert np.concatenate([b for _, b in blocks]).tobytes() == sequential.tobytes()
 
 
 class TestGenerators:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fracwick import GridMismatchError, StepFunction, TimeGrid, write_ensemble_csv
 from fracwick.stepfn import common_refinement, levels_on, refine_breakpoints
 
@@ -84,6 +85,21 @@ def test_ensemble_csv_is_long_format_and_exact(tmp_path):
     np.testing.assert_array_equal([float(r[2]) for r in rows[1:]], vals.ravel())
     with pytest.raises(GridMismatchError):
         write_ensemble_csv(grid, vals[:, :2], str(out))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [np.linspace(0.0, 1.0, 9), np.array([0.0, 1e-300, 1.0 / 3.0, 0.5, 2.0, 1e10, 1e200, 3e300, 1e308])],
+    ids=["uniform", "irregular"],
+)
+def test_ensemble_csv_bytes_match_per_cell_writer(tmp_path, points):
+    grid = TimeGrid(points)
+    vals = np.random.default_rng(3).standard_normal((5, points.size)) * 10.0 ** np.arange(-4, 5)
+    vals[0, 1:] = [-0.0, 5e-324, -2.0**-1074, 1e-300, np.nan, np.inf, -np.inf, -1.5e-17]
+    vals[1] = -vals[1]
+    write_ensemble_csv(grid, vals, str(tmp_path / "fast.csv"))
+    oracles.write_ensemble_csv_per_cell(points, vals, str(tmp_path / "oracle.csv"))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 class TestStepFunction:

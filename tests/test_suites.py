@@ -2,13 +2,18 @@
 config, and byte-identical artifacts whatever the worker-thread count."""
 
 import csv
+import dataclasses
+import json
 import os
+import platform
 
+import numpy as np
 import pytest
 import yaml
 
 from fracwick import cli
-from fracwick.config import SUITE_NAMES
+from fracwick.config import SUITE_NAMES, config_from_mapping
+from fracwick.suites import config_digest
 
 SMALL = {"grid_n": 64, "n_paths": 256, "master_seed": 0, "plots": True}
 CONVERGE_SMALL = {"grid_sizes": [16, 32, 64], "n_paths": 256, "master_seed": 0, "plots": True}
@@ -116,3 +121,24 @@ def test_artifacts_identical_across_thread_counts(runs, suite):
     assert "report.csv" in names and "zscores.svg" in names
     for name in names:
         assert (one / name).read_bytes() == (four / name).read_bytes(), f"{suite}/{name}"
+
+
+def test_config_digest_ignores_output_dir_and_plots():
+    base = config_from_mapping("generate", {"grid_n": 16})
+    moved = dataclasses.replace(base, output_dir="elsewhere", plots=not base.plots)
+    assert config_digest(moved) == config_digest(base)
+    assert config_digest(dataclasses.replace(base, master_seed=1)) != config_digest(base)
+
+
+def test_manifest_records_threads_and_versions(tmp_path, monkeypatch):
+    monkeypatch.setenv("FRACWICK_THREADS", "3")
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("grid_n: 16\nn_paths: 8\n")
+    assert cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "manifest.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["threads"] == 3
+    assert manifest["numpy"] == np.__version__
+    assert manifest["python"] == platform.python_version()
+    want = config_digest(config_from_mapping("generate", {"grid_n": 16, "n_paths": 8}))
+    assert manifest["config_sha256"] == want
