@@ -17,6 +17,7 @@ import yaml
 from .errors import ConfigError
 from .fbm import GENERATOR_NAMES
 from .sde import SOLVER_NAMES
+from .verify import RESIDUAL_NAMES, ladder_sizes
 from .wick import MAX_NORM_SQ
 
 SUITE_NAMES = (
@@ -29,8 +30,6 @@ SUITE_NAMES = (
     "solve-sde",
     "converge",
 )
-
-_RESIDUAL_CHOICES = ("ito", "product-rule", "wentzell")
 
 # The largest power of the horizon a suite forms: fBm scales as T^H, the
 # isometry check's S for h(x) = x^2 as T^3H, its per-path S^2 as T^6H, and
@@ -186,6 +185,8 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
         vals["cases"] = _scalar_list("cases", vals["cases"], str)
     if "checkpoints" in vals:
         vals["checkpoints"] = _scalar_list("checkpoints", vals["checkpoints"], float)
+        if not vals["checkpoints"]:
+            raise ConfigError("checkpoints must not be empty")
     if "grid_sizes" in vals:
         vals["grid_sizes"] = _scalar_list("grid_sizes", vals["grid_sizes"], int)
     if "sde" in vals:
@@ -212,8 +213,8 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
         raise ConfigError("grid_n must be at least 1")
     if cfg.solver not in SOLVER_NAMES:
         raise ConfigError(f"unknown solver {cfg.solver!r}; choose from {SOLVER_NAMES}")
-    if cfg.residual not in _RESIDUAL_CHOICES:
-        raise ConfigError(f"unknown residual {cfg.residual!r}; choose from {_RESIDUAL_CHOICES}")
+    if cfg.residual not in RESIDUAL_NAMES:
+        raise ConfigError(f"unknown residual {cfg.residual!r}; choose from {RESIDUAL_NAMES}")
     if cfg.tol <= 0:
         raise ConfigError("tol must be positive")
     if suite == "solve-sde":
@@ -223,6 +224,11 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
     for n in cfg.grid_sizes:
         if n < 2:
             raise ConfigError("grid_sizes entries must be at least 2")
+    if suite == "converge":
+        try:
+            ladder_sizes(cfg.grid_sizes, cfg.n_paths)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     # A Picard slab is never narrower than one cell, and the trapezoid
     # fixed-point map on one cell contracts by dt * lam / 2: from 2 on it
     # diverges, which is a setup error rather than a numerical failure.

@@ -58,9 +58,10 @@ class TimeGrid:
     def spacings(self) -> np.ndarray:
         return np.diff(self.points)
 
-    def is_uniform(self, rel_tol: float = 1e-12) -> bool:
+    def is_uniform(self) -> bool:
+        """Equal spacings, to a relative 1e-12 of the first."""
         dt = self.spacings
-        return bool(np.all(np.abs(dt - dt[0]) <= rel_tol * dt[0]))
+        return bool(np.all(np.abs(dt - dt[0]) <= 1e-12 * dt[0]))
 
     def restriction_indices(self, coarse: "TimeGrid") -> np.ndarray:
         """Indices mapping coarse grid points into this (finer) grid.

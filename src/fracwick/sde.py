@@ -35,6 +35,8 @@ _PICARD_MARGIN = 5
 # Rounding floor of one Picard step, in units of eps * max|y|.
 _ROUNDING_ULPS = 16
 _EPS = float(np.finfo(float).eps)
+# Cells of the step projection behind fou_oracle's variance.
+ORACLE_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -240,33 +242,32 @@ def fou_oracle(
     x0: float,
     times: np.ndarray,
     ctx: PhiContext,
-    n_cells: int = 2048,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact mean and norm-based variance of the linear-drift solution.
 
     mean(t) = x0 exp(-lam t); var(t) = sigma^2 ||exp(-lam(t-.))||^2_phi on
-    [0, t], with the norm evaluated on an n_cells midpoint step projection
+    [0, t], with the norm evaluated on an ORACLE_CELLS midpoint step projection
     (the oracle's only approximation; a doubled-resolution check belongs to
     the caller/test side). On the uniform projection grid the phi rectangle
     matrix is Toeplitz, dt^2H gamma(|i - j|) with gamma the unit fGn
     autocovariance, so the quadratic form needs only the lag sums
-    sum_i f_i f_{i+k} of the levels f, not the n_cells x n_cells matrix.
+    sum_i f_i f_{i+k} of the levels f, not the dense matrix.
     """
     ts = np.asarray(times, dtype=float)
     if np.any(ts < 0):
         raise ValueError("times must be nonnegative")
     means = x0 * np.exp(-lam * ts)
     variances = np.empty_like(ts)
-    gamma = fgn_autocovariance(n_cells, ctx.hurst)
+    gamma = fgn_autocovariance(ORACLE_CELLS, ctx.hurst)
     for i, t in enumerate(ts):
         if t == 0.0:
             variances[i] = 0.0
             continue
-        grid = TimeGrid.uniform(n_cells, t)
+        grid = TimeGrid.uniform(ORACLE_CELLS, t)
         f = np.exp(-lam * (t - 0.5 * (grid.points[:-1] + grid.points[1:])))
-        lag_sums = np.correlate(f, f, "full")[n_cells - 1 :]
+        lag_sums = np.correlate(f, f, "full")[ORACLE_CELLS - 1 :]
         quad = gamma[0] * lag_sums[0] + 2.0 * (gamma[1:] @ lag_sums[1:])
-        variances[i] = sigma * sigma * (t / n_cells) ** (2.0 * ctx.h) * quad
+        variances[i] = sigma * sigma * (t / ORACLE_CELLS) ** (2.0 * ctx.h) * quad
     return means, variances
 
 

@@ -6,13 +6,12 @@ on [t_i, t_{i+1}); the function is 0 outside [t_0, t_n].
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .grids import TimeGrid, format_float
+from .grids import TimeGrid
 
 
 @dataclass(frozen=True)
@@ -70,46 +69,9 @@ class StepFunction:
             TimeGrid(pts), levels_on(self, pts) + levels_on(other, pts)
         )
 
-    def truncated(self, s: float) -> "StepFunction":
-        """Restriction to [0, s): this function times the indicator of [0, s)."""
-        if s <= 0:
-            raise ValueError("truncation point must be positive")
-        pts = self.grid.points
-        if s >= pts[-1]:
-            return self
-        k = int(np.searchsorted(pts, s, side="left"))
-        new_pts = np.concatenate([pts[:k], [s]])
-        return StepFunction(TimeGrid(new_pts), levels_on(self, new_pts))
-
     @property
     def horizon(self) -> float:
         return self.grid.horizon
-
-    # -- CSV ------------------------------------------------------------------
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t_left", "t_right", "level"])
-            pts = self.grid.points
-            for i, level in enumerate(self.levels):
-                writer.writerow(
-                    [format_float(pts[i]), format_float(pts[i + 1]), format_float(level)]
-                )
-
-    @classmethod
-    def from_csv(cls, path: str) -> "StepFunction":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["t_left", "t_right", "level"]:
-                raise ValueError(f"unexpected step-function CSV header: {header}")
-            rows = [(float(a), float(b), float(c)) for a, b, c in reader]
-        pts = [rows[0][0]] + [r[1] for r in rows]
-        for i, (a, _, _) in enumerate(rows):
-            if a != pts[i]:
-                raise ValueError("step-function CSV cells must be contiguous")
-        return cls(TimeGrid(np.array(pts)), np.array([r[2] for r in rows]))
 
 
 def refine_breakpoints(*grids: TimeGrid) -> np.ndarray:

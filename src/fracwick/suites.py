@@ -5,6 +5,11 @@ verdict rows plus suite-specific artifacts into the output directory, and
 returns a RunManifest. All CSV and SVG artifacts are byte-reproducible for
 a fixed config; manifest.json carries the timestamp, wall clock, worker
 cap and library versions and is the one file excluded from that guarantee.
+
+verify-ito, verify-product-rule, verify-wentzell, girsanov and isometry
+share one runner: it samples one circulant ensemble and runs the suite's
+list of checks, thunks that each reduce it to a MonteCarloReport, on the
+worker pool; the report rows keep the order of the list.
 """
 from __future__ import annotations
 
@@ -31,16 +36,13 @@ from .sde import fou_oracle, make_fou, sde_mc_stats
 from .stepfn import StepFunction
 from .verify import (
     ITO_MEAN_ZERO_CASES,
+    case_registry,
     convergence_study,
     exponential_mean_report,
     girsanov_case_registry,
     girsanov_check,
-    ito_case_registry,
-    ito_residuals,
-    product_rule_case_registry,
-    product_rule_residuals,
-    wentzell_case_registry,
-    wentzell_residuals,
+    halves,
+    residuals,
 )
 from .wick import isometry_check
 from .functions import CylinderFunction
@@ -84,43 +86,6 @@ def _run_tasks(tasks):
 
 
 @dataclass(frozen=True)
-class ReportRow:
-    test_name: str
-    n_paths: int
-    grid_n: int
-    estimate: float
-    oracle: float
-    stderr: float
-    z: float
-    verdict: bool
-
-    @classmethod
-    def from_report(cls, report: MonteCarloReport, grid_n: int) -> "ReportRow":
-        return cls(
-            test_name=report.name,
-            n_paths=report.n_paths,
-            grid_n=grid_n,
-            estimate=report.estimate,
-            oracle=report.oracle,
-            stderr=report.stderr,
-            z=report.z_score,
-            verdict=report.verdict,
-        )
-
-    def as_csv(self) -> list[str]:
-        return [
-            self.test_name,
-            str(self.n_paths),
-            str(self.grid_n),
-            format_float(self.estimate),
-            format_float(self.oracle),
-            format_float(self.stderr),
-            format_float(self.z),
-            "pass" if self.verdict else "fail",
-        ]
-
-
-@dataclass(frozen=True)
 class RunManifest:
     suite: str
     version: str
@@ -148,12 +113,17 @@ def config_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def write_report_csv(rows: list[ReportRow], path: str) -> None:
+def write_report_csv(rows: list[tuple[int, MonteCarloReport]], path: str) -> None:
+    """One line per (grid_n, report) row, in the order of REPORT_HEADER."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_HEADER)
-        for row in rows:
-            writer.writerow(row.as_csv())
+        for grid_n, r in rows:
+            writer.writerow(
+                [r.name, str(r.n_paths), str(grid_n)]
+                + [format_float(x) for x in (r.estimate, r.oracle, r.stderr, r.z_score)]
+                + ["pass" if r.verdict else "fail"]
+            )
 
 
 def _write_ladder_csv(table, path: str) -> None:
@@ -187,13 +157,8 @@ def _suite_generate(cfg: ExperimentConfig, outdir: str):
         vals = ensemble_values(gen, grid, h, cfg.master_seed, cfg.n_paths)
         w_t = vals[:, -1]
         rows = [
-            ReportRow.from_report(
-                MonteCarloReport.from_samples(f"{gen}:mean@T", w_t, 0.0), cfg.grid_n
-            ),
-            ReportRow.from_report(
-                MonteCarloReport.from_samples(f"{gen}:variance@T", w_t**2, var_t),
-                cfg.grid_n,
-            ),
+            (cfg.grid_n, MonteCarloReport.from_samples(f"{gen}:mean@T", w_t, 0.0)),
+            (cfg.grid_n, MonteCarloReport.from_samples(f"{gen}:variance@T", w_t**2, var_t)),
         ]
         csv_name = f"paths_{gen}.csv"
         write_ensemble_csv(grid, vals[:_MAX_CSV_PATHS], os.path.join(outdir, csv_name))
@@ -214,122 +179,68 @@ def _suite_generate(cfg: ExperimentConfig, outdir: str):
     return rows, artifacts
 
 
-def _shared_noise(cfg: ExperimentConfig):
-    h = HurstParameter(cfg.hurst)
-    ctx = PhiContext(h)
-    grid = TimeGrid.uniform(cfg.grid_n, cfg.horizon)
-    w = ensemble_values("circulant", grid, h, cfg.master_seed, cfg.n_paths)
-    return ctx, grid, w
-
-
-def _registry_cases(
-    cfg: ExperimentConfig,
-    registry: dict,
-    suite: str,
-    default: tuple[str, ...] | None = None,
-) -> list[str]:
-    if cfg.cases:
-        names = list(cfg.cases)
-    elif default is not None:
-        names = list(default)
-    else:
-        names = list(registry)
+def _case_names(cfg: ExperimentConfig, registry: dict, default: tuple[str, ...] | None = None) -> list[str]:
+    names = list(cfg.cases or default or registry)
     for name in names:
         if name not in registry:
             raise ConfigError(
-                f"unknown case {name!r} for suite '{suite}'; known: {sorted(registry)}"
+                f"unknown case {name!r} for suite '{cfg.suite}'; known: {sorted(registry)}"
             )
     return names
 
 
-def _suite_verify_ito(cfg: ExperimentConfig, outdir: str):
-    # Default to the cases whose expectation vanishes on a fixed grid; tx2
-    # and x4 carry a deterministic O(1/n) offset and belong to the converge
-    # suite (they can still be requested here explicitly, and will then
-    # report their bias honestly).
-    ctx, grid, w = _shared_noise(cfg)
-    registry = ito_case_registry(cfg.horizon)
-    names = _registry_cases(cfg, registry, "verify-ito", default=ITO_MEAN_ZERO_CASES)
+def _residual_checks(family: str, default: tuple[str, ...] | None = None):
+    def checks(cfg, ctx, grid, w):
+        registry = case_registry(family, cfg.horizon)
+        return [
+            lambda name=name: MonteCarloReport.from_samples(
+                f"{family}:{name}", residuals(family, registry[name], w, ctx, grid), 0.0
+            )
+            for name in _case_names(cfg, registry, default)
+        ]
 
-    def one(name: str):
-        res = ito_residuals(registry[name], w, ctx, grid=grid)
-        return ReportRow.from_report(
-            MonteCarloReport.from_samples(f"ito:{name}", res, 0.0), cfg.grid_n
-        )
-
-    rows = _run_tasks([lambda n=n: one(n) for n in names])
-    return rows, []
+    return checks
 
 
-def _suite_verify_product_rule(cfg: ExperimentConfig, outdir: str):
-    ctx, grid, w = _shared_noise(cfg)
-    registry = product_rule_case_registry(cfg.horizon)
-    names = _registry_cases(cfg, registry, "verify-product-rule")
-
-    def one(name: str):
-        x_case, y_case = registry[name]
-        res = product_rule_residuals(x_case, y_case, w, ctx, grid=grid)
-        return ReportRow.from_report(
-            MonteCarloReport.from_samples(f"product-rule:{name}", res, 0.0), cfg.grid_n
-        )
-
-    rows = _run_tasks([lambda n=n: one(n) for n in names])
-    return rows, []
-
-
-def _suite_verify_wentzell(cfg: ExperimentConfig, outdir: str):
-    ctx, grid, w = _shared_noise(cfg)
-    registry = wentzell_case_registry(cfg.horizon)
-    names = _registry_cases(cfg, registry, "verify-wentzell")
-
-    def one(name: str):
-        res = wentzell_residuals(registry[name], w, ctx, grid=grid)
-        return ReportRow.from_report(
-            MonteCarloReport.from_samples(f"wentzell:{name}", res, 0.0), cfg.grid_n
-        )
-
-    rows = _run_tasks([lambda n=n: one(n) for n in names])
-    return rows, []
-
-
-def _suite_girsanov(cfg: ExperimentConfig, outdir: str):
-    ctx, grid, w = _shared_noise(cfg)
+def _girsanov_checks(cfg, ctx, grid, w):
     registry = girsanov_case_registry(cfg.horizon)
-    names = _registry_cases(cfg, registry, "girsanov")
-
-    def one(name: str):
-        fn, g_fn = registry[name]
-        rep = girsanov_check(fn, g_fn, w, ctx, grid=grid, name=f"girsanov:{name}")
-        return ReportRow.from_report(rep, cfg.grid_n)
-
-    rows = _run_tasks([lambda n=n: one(n) for n in names])
-    mean_one = exponential_mean_report(
-        StepFunction.constant(1.0, cfg.horizon), w, ctx, grid=grid
-    )
-    rows.append(ReportRow.from_report(mean_one, cfg.grid_n))
-    return rows, []
+    thunks = [
+        lambda name=name: girsanov_check(*registry[name], w, ctx, grid=grid, name=f"girsanov:{name}")
+        for name in _case_names(cfg, registry)
+    ]
+    unit = StepFunction.constant(1.0, cfg.horizon)
+    return thunks + [lambda: exponential_mean_report(unit, w, ctx, grid=grid)]
 
 
-def _suite_isometry(cfg: ExperimentConfig, outdir: str):
-    ctx, grid, w = _shared_noise(cfg)
-    halves = StepFunction(
-        TimeGrid(np.array([0.0, 0.5 * cfg.horizon, cfg.horizon])),
-        np.array([1.0, 0.5]),
-    )
-    integrands = [
-        ("step-const", StepFunction.constant(1.0, cfg.horizon)),
-        ("step-halves", halves),
-        ("const", CylinderFunction.constant(1.0)),
-        ("w", CylinderFunction.monomial(1)),
-        ("w2", CylinderFunction.monomial(2)),
+def _isometry_checks(cfg, ctx, grid, w):
+    integrands = {
+        "step-const": StepFunction.constant(1.0, cfg.horizon),
+        "step-halves": halves(cfg.horizon),
+        "const": CylinderFunction.constant(1.0),
+        "w": CylinderFunction.monomial(1),
+        "w2": CylinderFunction.monomial(2),
+    }
+    return [
+        lambda name=name, f=f: isometry_check(f, w, ctx, grid=grid, name=f"isometry:{name}")
+        for name, f in integrands.items()
     ]
 
-    def one(name, integrand):
-        rep = isometry_check(integrand, w, ctx, grid=grid, name=f"isometry:{name}")
-        return ReportRow.from_report(rep, cfg.grid_n)
 
-    rows = _run_tasks([lambda n=n, f=f: one(n, f) for n, f in integrands])
-    return rows, []
+def _shared_ensemble_suite(checks):
+    """Runner of a suite whose checks all read one circulant ensemble.
+
+    checks(cfg, ctx, grid, w) returns the suite's report thunks; they run
+    on the worker pool and their reports keep the order of the list.
+    """
+
+    def run(cfg: ExperimentConfig, outdir: str):
+        h = HurstParameter(cfg.hurst)
+        grid = TimeGrid.uniform(cfg.grid_n, cfg.horizon)
+        w = ensemble_values("circulant", grid, h, cfg.master_seed, cfg.n_paths)
+        reports = _run_tasks(checks(cfg, PhiContext(h), grid, w))
+        return [(cfg.grid_n, r) for r in reports], []
+
+    return run
 
 
 def _suite_solve_sde(cfg: ExperimentConfig, outdir: str):
@@ -348,7 +259,7 @@ def _suite_solve_sde(cfg: ExperimentConfig, outdir: str):
     oracle = fou_oracle(cfg.sde.lam, cfg.sde.sigma, cfg.sde.x0, cps, ctx)
     w = ensemble_values("circulant", grid, h, cfg.master_seed, cfg.n_paths)
     reports, result = sde_mc_stats(spec, grid, w, cps, oracle, solver=cfg.solver, tol=cfg.tol)
-    rows = [ReportRow.from_report(r, cfg.grid_n) for r in reports]
+    rows = [(cfg.grid_n, r) for r in reports]
     # row 0 of the ensemble is the stream-0 path
     csv_name = "solution_stream0.csv"
     _write_solution_csv(os.path.join(outdir, csv_name), grid.points, result.x[0], result.y[0], w[0])
@@ -357,12 +268,7 @@ def _suite_solve_sde(cfg: ExperimentConfig, outdir: str):
 
 def _suite_converge(cfg: ExperimentConfig, outdir: str):
     ctx = PhiContext(HurstParameter(cfg.hurst))
-    if cfg.residual == "ito":
-        registry = ito_case_registry(cfg.horizon)
-    elif cfg.residual == "product-rule":
-        registry = product_rule_case_registry(cfg.horizon)
-    else:
-        registry = wentzell_case_registry(cfg.horizon)
+    registry = case_registry(cfg.residual, cfg.horizon)
     if cfg.case not in registry:
         raise ConfigError(
             f"unknown case {cfg.case!r} for residual '{cfg.residual}'; "
@@ -377,37 +283,27 @@ def _suite_converge(cfg: ExperimentConfig, outdir: str):
         horizon=cfg.horizon,
         master_seed=cfg.master_seed,
     )
-    rows = [
-        ReportRow(
-            test_name=f"converge:{cfg.residual}:{cfg.case}:n={n}",
-            n_paths=cfg.n_paths,
-            grid_n=n,
-            estimate=rms,
-            oracle=0.0,
+
+    def row(grid_n: int, label: str, estimate: float, oracle: float, verdict: bool):
+        return grid_n, MonteCarloReport(
+            name=f"converge:{cfg.residual}:{cfg.case}:{label}",
+            estimate=estimate,
+            oracle=oracle,
             stderr=0.0,
-            z=0.0,
-            verdict=bool(np.isfinite(rms)),
+            z_score=0.0,
+            n_paths=cfg.n_paths,
+            verdict=verdict,
         )
-        for n, rms in table.rows()
-    ]
+
+    rows = [row(n, f"n={n}", rms, 0.0, bool(np.isfinite(rms))) for n, rms in table.rows()]
     # The RMS ladder should fall at the rate n^(1/2 - 2H) while the
     # quadratic-variation error stays in the Breuer-Major regime (H < 3/4);
     # beyond it the rate saturates at n^-1 (with a log factor at H = 3/4).
     # The verdict allows modest slack for finite-size curvature of the fit.
     # An exact ladder (every rung at rounding level) has no rate and passes.
     theoretical = max(0.5 - 2.0 * cfg.hurst, -1.0)
-    rows.append(
-        ReportRow(
-            test_name=f"converge:{cfg.residual}:{cfg.case}:slope",
-            n_paths=cfg.n_paths,
-            grid_n=table.grid_sizes[-1],
-            estimate=table.slope,
-            oracle=theoretical,
-            stderr=0.0,
-            z=0.0,
-            verdict=table.exact or bool(table.slope <= theoretical + 0.3),
-        )
-    )
+    verdict = table.exact or bool(table.slope <= theoretical + 0.3)
+    rows.append(row(table.grid_sizes[-1], "slope", table.slope, theoretical, verdict))
     csv_name = "ladder.csv"
     _write_ladder_csv(table, os.path.join(outdir, csv_name))
     artifacts = [csv_name]
@@ -430,11 +326,14 @@ def _suite_converge(cfg: ExperimentConfig, outdir: str):
 
 _SUITE_RUNNERS = {
     "generate": _suite_generate,
-    "verify-ito": _suite_verify_ito,
-    "verify-product-rule": _suite_verify_product_rule,
-    "verify-wentzell": _suite_verify_wentzell,
-    "girsanov": _suite_girsanov,
-    "isometry": _suite_isometry,
+    # verify-ito defaults to the cases whose expectation vanishes on a fixed
+    # grid; tx2 and x4 carry a deterministic O(1/n) offset and belong to
+    # converge (asked for by name here, they report that bias honestly)
+    "verify-ito": _shared_ensemble_suite(_residual_checks("ito", ITO_MEAN_ZERO_CASES)),
+    "verify-product-rule": _shared_ensemble_suite(_residual_checks("product-rule")),
+    "verify-wentzell": _shared_ensemble_suite(_residual_checks("wentzell")),
+    "girsanov": _shared_ensemble_suite(_girsanov_checks),
+    "isometry": _shared_ensemble_suite(_isometry_checks),
     "solve-sde": _suite_solve_sde,
     "converge": _suite_converge,
 }
@@ -473,14 +372,14 @@ def run_suite(cfg: ExperimentConfig) -> RunManifest:
         svgplot.write_svg(
             os.path.join(outdir, svg_name),
             svgplot.zscore_plot(
-                [r.test_name for r in rows],
-                np.array([r.z for r in rows]),
+                [r.name for _, r in rows],
+                np.array([r.z_score for _, r in rows]),
                 f"{cfg.suite}: |z| per check",
             ),
         )
         artifacts.append(svg_name)
 
-    failures = tuple(r.test_name for r in rows if not r.verdict)
+    failures = tuple(r.name for _, r in rows if not r.verdict)
     manifest = RunManifest(
         suite=cfg.suite,
         version=__version__,

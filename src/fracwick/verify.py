@@ -11,6 +11,13 @@ random is frozen at left endpoints and evaluated over fixed row blocks of
 the path matrix; every reduction runs along a row, so the blocking changes
 no bit of the result. Expectations of residuals are then tested by
 z-score, pathwise magnitudes by refinement ladders.
+
+The residual families are named in RESIDUAL_NAMES; case_registry(name)
+gives a family's cases and residuals(name, ...) is the one dispatch from a
+family to its residual function, used by the suites and the ladders alike.
+It calls ito_residuals, product_rule_residuals and wentzell_residuals by
+their module-global names at call time, so that a wrapper installed on
+those attributes (a profiler's span, a test's spy) sees every case.
 """
 from __future__ import annotations
 
@@ -387,17 +394,35 @@ class ConvergenceTable:
         return list(zip(self.grid_sizes, self.rms))
 
 
-def _dispatch_residuals(residual_name: str, case, w, ctx, grid) -> np.ndarray:
-    if residual_name == "ito":
+def residuals(name: str, case, w: np.ndarray, ctx: PhiContext, grid: TimeGrid) -> np.ndarray:
+    """Per-path residuals of one case of the named family; the case goes
+    first, and the family's function is looked up by name at call time."""
+    if name == "ito":
         return ito_residuals(case, w, ctx, grid=grid)
-    if residual_name == "product-rule":
-        x_case, y_case = case
-        return product_rule_residuals(x_case, y_case, w, ctx, grid=grid)
-    if residual_name == "wentzell":
+    if name == "product-rule":
+        return product_rule_residuals(*case, w, ctx, grid=grid)
+    if name == "wentzell":
         return wentzell_residuals(case, w, ctx, grid=grid)
-    raise UnsupportedCaseError(
-        f"unknown residual {residual_name!r}; known: ito, product-rule, wentzell"
-    )
+    raise UnsupportedCaseError(f"unknown residual {name!r}; known: {RESIDUAL_NAMES}")
+
+
+def ladder_sizes(grid_sizes, n_paths: int) -> list[int]:
+    """The rungs of a ladder, sorted; ValueError naming the config key at
+    fault unless they nest into the largest one within the budget."""
+    sizes = sorted(int(n) for n in grid_sizes)
+    if len(sizes) < 2:
+        raise ValueError("grid_sizes needs at least two sizes for a ladder")
+    if len(set(sizes)) != len(sizes):
+        raise ValueError("grid_sizes entries must be distinct")
+    if any(sizes[-1] % n for n in sizes):
+        raise ValueError("every grid_sizes entry must divide the largest one")
+    budget = n_paths * sum(sizes)
+    if budget > MAX_LADDER_BUDGET:
+        raise ValueError(
+            f"ladder budget n_paths * sum(grid_sizes) = {budget} exceeds the cap "
+            f"{MAX_LADDER_BUDGET}; shrink n_paths or grid_sizes"
+        )
+    return sizes
 
 
 def convergence_study(
@@ -408,36 +433,22 @@ def convergence_study(
     ctx: PhiContext,
     horizon: float = 1.0,
     master_seed: int = 0,
-    generator: str = "circulant",
 ) -> ConvergenceTable:
     """RMS residual ladder on nested restrictions of one set of fine paths.
 
     All rungs see restrictions of the same paths sampled at the finest
     grid, so rung-to-rung differences are pure discretization, not noise.
     """
-    sizes = sorted(int(n) for n in grid_sizes)
-    if len(sizes) < 2:
-        raise ValueError("a ladder needs at least two grid sizes")
-    if len(set(sizes)) != len(sizes):
-        raise ValueError("grid sizes must be distinct")
+    sizes = ladder_sizes(grid_sizes, n_paths)
     n_max = sizes[-1]
-    for n in sizes:
-        if n_max % n != 0:
-            raise ValueError("every grid size must divide the largest one")
-    budget = n_paths * sum(sizes)
-    if budget > MAX_LADDER_BUDGET:
-        raise ValueError(
-            f"ladder budget {budget} exceeds the cap {MAX_LADDER_BUDGET} "
-            "(paths times total cells); shrink the ladder"
-        )
     fine_grid = TimeGrid.uniform(n_max, horizon)
-    w_fine = ensemble_values(generator, fine_grid, ctx.hurst, master_seed, n_paths)
+    w_fine = ensemble_values("circulant", fine_grid, ctx.hurst, master_seed, n_paths)
     rms: list[float] = []
     for n in sizes:
         stride = n_max // n
         sub = w_fine[:, ::stride]
         sub_grid = TimeGrid(fine_grid.points[::stride])
-        res = _dispatch_residuals(residual_name, case, sub, ctx, sub_grid)
+        res = residuals(residual_name, case, sub, ctx, sub_grid)
         rms.append(math.sqrt(fsum(res * res) / res.size))
     exact = all(r <= EXACT_REL_TOL for r in rms)
     slope = math.nan if exact else float(np.polyfit(np.log(sizes), np.log(rms), 1)[0])
@@ -467,11 +478,14 @@ def convergence_study(
 ITO_MEAN_ZERO_CASES = ("x1", "x2", "x2-step", "x3", "sin")
 
 
+def halves(horizon: float) -> StepFunction:
+    """Level 1 on [0, T/2) and 1/2 on [T/2, T): the step coefficient of the
+    step cases, whose breakpoint only even grid sizes hit."""
+    return StepFunction(TimeGrid(np.array([0.0, 0.5 * horizon, horizon])), np.array([1.0, 0.5]))
+
+
 def ito_case_registry(horizon: float = 1.0) -> dict[str, ItoCase]:
     """Named change-of-variable cases for the harness and the CLI."""
-    halves = StepFunction(
-        TimeGrid(np.array([0.0, 0.5 * horizon, horizon])), np.array([1.0, 0.5])
-    )
     mono = SpaceTimeFunction.from_cylinder
     cases = {
         "x1": ItoCase(mono(CylinderFunction.monomial(1)), label="x1"),
@@ -484,7 +498,7 @@ def ito_case_registry(horizon: float = 1.0) -> dict[str, ItoCase]:
             label="tx2",
         ),
         "x2-step": ItoCase(
-            mono(CylinderFunction.monomial(2)), a=halves, label="x2-step"
+            mono(CylinderFunction.monomial(2)), a=halves(horizon), label="x2-step"
         ),
     }
     return cases
@@ -494,9 +508,6 @@ def product_rule_case_registry(
     horizon: float = 1.0,
 ) -> dict[str, tuple[DriveSpec, DriveSpec]]:
     """Named (X, Y) pairs for the product-rule residual."""
-    halves = StepFunction(
-        TimeGrid(np.array([0.0, 0.5 * horizon, horizon])), np.array([1.0, 0.5])
-    )
     noise = DriveSpec(x0=0.0, drift=0.0, diffusion=1.0, label="noise")
     return {
         "ww": (noise, noise),
@@ -506,8 +517,8 @@ def product_rule_case_registry(
             DriveSpec(x0=1.0, drift=-0.2, diffusion=0.5, label="affine-y"),
         ),
         "step": (
-            DriveSpec(x0=0.0, drift=halves, diffusion=1.0, label="step-drift"),
-            DriveSpec(x0=0.5, drift=0.0, diffusion=halves, label="step-noise"),
+            DriveSpec(x0=0.0, drift=halves(horizon), diffusion=1.0, label="step-drift"),
+            DriveSpec(x0=0.5, drift=0.0, diffusion=halves(horizon), label="step-noise"),
         ),
     }
 
@@ -546,3 +557,16 @@ def girsanov_case_registry(horizon: float = 1.0) -> dict[str, tuple[CylinderFunc
         "expw": (CylinderFunction.exponential(1.0), half_level),
         "zero": (CylinderFunction.monomial(1), StepFunction.constant(0.0, horizon)),
     }
+
+
+_CASE_REGISTRIES = {
+    "ito": ito_case_registry,
+    "product-rule": product_rule_case_registry,
+    "wentzell": wentzell_case_registry,
+}
+RESIDUAL_NAMES = tuple(_CASE_REGISTRIES)
+
+
+def case_registry(name: str, horizon: float = 1.0) -> dict:
+    """Named cases of the residual family name, as residuals() takes them."""
+    return _CASE_REGISTRIES[name](horizon)

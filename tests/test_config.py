@@ -101,3 +101,31 @@ def test_non_finite_or_huge_horizon_exits_2(tmp_path, capsys, horizon):
     err = capsys.readouterr().err
     assert "config error" in err and "horizon" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "grid_sizes, n_paths, keys",
+    [
+        ([16, 24], 8, ["grid_sizes"]),
+        ([32], 8, ["grid_sizes"]),
+        ([16, 16], 8, ["grid_sizes"]),
+        ([16, 32], 10_000_000, ["grid_sizes", "n_paths"]),
+    ],
+)
+def test_converge_ladder_the_study_cannot_run_exits_2(tmp_path, capsys, grid_sizes, n_paths, keys):
+    # non-nested, single, repeated, and over the paths-times-cells budget
+    assert _run(tmp_path, "converge", f"grid_sizes: {grid_sizes}\nn_paths: {n_paths}\n") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and all(key in err for key in keys)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("plots", [[], ["--plots"]])
+def test_empty_checkpoints_exit_2(tmp_path, capsys, plots):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("checkpoints: []\ngrid_n: 16\nn_paths: 8\n")
+    argv = ["solve-sde", "--config", str(cfg_path), "--out", str(tmp_path / "out"), *plots]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "checkpoints" in err
+    assert "Traceback" not in err

@@ -137,29 +137,6 @@ class TestStepFunction:
         for u, want in [(0.1, 2.0), (0.3, 3.0), (0.7, 1.0)]:
             assert s(u) == want, f"sum wrong at u={u}: {s(u)} != {want}"
 
-    def test_truncated(self):
-        f = StepFunction.constant(3.0, 1.0)
-        half = f.truncated(0.5)
-        assert half.horizon == 0.5
-        assert half(0.25) == 3.0
-        assert f.truncated(2.0) is f
-
-    def test_csv_round_trip_is_exact(self, tmp_path):
-        f = StepFunction(
-            TimeGrid(np.array([0.0, 1.0 / 3.0, 1.0])), np.array([np.e, -0.125])
-        )
-        out = tmp_path / "step.csv"
-        f.to_csv(str(out))
-        back = StepFunction.from_csv(str(out))
-        np.testing.assert_array_equal(back.grid.points, f.grid.points)
-        np.testing.assert_array_equal(back.levels, f.levels)
-
-    def test_csv_contiguity_checked(self, tmp_path):
-        out = tmp_path / "gap.csv"
-        out.write_text("t_left,t_right,level\n0,0.5,1\n0.6,1,2\n")
-        with pytest.raises(ValueError, match="contiguous"):
-            StepFunction.from_csv(str(out))
-
     @given(
         a=st.floats(0.0, 0.9),
         width=st.floats(0.01, 1.0),

@@ -135,6 +135,58 @@ class TestRowBlocks:
         assert peak < n * n * 8, f"residual call allocated {peak / 2**20:.1f} MiB"
 
 
+_FAMILY_FUNCTIONS = {
+    "ito": "ito_residuals",
+    "product-rule": "product_rule_residuals",
+    "wentzell": "wentzell_residuals",
+}
+
+
+def _case_label(case):
+    """ItoCase and WentzellCase carry a label; a product-rule case is an
+    (X, Y) pair of labelled drives."""
+    return tuple(c.label for c in case) if isinstance(case, tuple) else case.label
+
+
+class TestResidualDispatch:
+    """Suites and ladders reach each residual function through its verify
+    module attribute, so a wrapper installed there sees every case."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        calls = []
+        for attr in _FAMILY_FUNCTIONS.values():
+
+            def spy(*args, _attr=attr, _original=getattr(verify, attr), **kwargs):
+                case = args[:2] if _attr == "product_rule_residuals" else args[0]
+                calls.append((_attr, _case_label(case)))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(verify, attr, spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "suite, family, names",
+        [
+            ("verify-ito", "ito", verify.ITO_MEAN_ZERO_CASES),
+            ("verify-product-rule", "product-rule", None),
+            ("verify-wentzell", "wentzell", None),
+        ],
+    )
+    def test_suite_reaches_every_case_once(self, tmp_path, seen, suite, family, names):
+        assert _run_cli(tmp_path, suite, {"grid_n": 16, "n_paths": 16}) == 0
+        registry = verify.case_registry(family)
+        want = [(_FAMILY_FUNCTIONS[family], _case_label(registry[n])) for n in names or registry]
+        assert sorted(seen) == sorted(want)
+
+    @pytest.mark.parametrize("family, case", [("ito", "x2"), ("product-rule", "affine"), ("wentzell", "quad")])
+    def test_converge_reaches_the_case_once_per_rung(self, tmp_path, seen, family, case):
+        cfg = {"residual": family, "case": case, "grid_sizes": [8, 16, 32], "n_paths": 16}
+        assert _run_cli(tmp_path, "converge", cfg) == 0
+        label = _case_label(verify.case_registry(family)[case])
+        assert seen == [(_FAMILY_FUNCTIONS[family], label)] * 3
+
+
 def _drift_shift_loop(g, t, ctx):
     """The scalar covariance loop that drift_shift_at replaced."""
     pts = g.grid.points
