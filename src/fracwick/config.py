@@ -17,7 +17,7 @@ import yaml
 from .errors import ConfigError
 from .fbm import GENERATOR_NAMES
 from .sde import SOLVER_NAMES
-from .verify import RESIDUAL_NAMES, ladder_sizes
+from .verify import RESIDUAL_NAMES, case_registry, girsanov_case_registry, ladder_sizes
 from .wick import MAX_NORM_SQ
 
 SUITE_NAMES = (
@@ -70,6 +70,14 @@ _SUITE_EXTRA = {
         "case": (str, "case name"),
         "grid_sizes": (list, "grid ladder"),
     },
+}
+
+# The registry whose names the `cases` key of each suite that has it may
+# list, as a function of the horizon.
+_CASES_OF_SUITE = {
+    "verify-ito": lambda horizon: case_registry("ito", horizon),
+    "verify-wentzell": lambda horizon: case_registry("wentzell", horizon),
+    "girsanov": girsanov_case_registry,
 }
 
 _SDE_KEYS = {
@@ -217,6 +225,14 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
         raise ConfigError(f"unknown residual {cfg.residual!r}; choose from {RESIDUAL_NAMES}")
     if cfg.tol <= 0:
         raise ConfigError("tol must be positive")
+    if cfg.cases:
+        known = _CASES_OF_SUITE[suite](cfg.horizon)
+        unknown = [name for name in cfg.cases if name not in known]
+        if unknown:
+            raise ConfigError(
+                f"key 'cases' lists unknown case(s) {unknown} for suite '{suite}'; "
+                f"known: {sorted(known)}"
+            )
     if suite == "solve-sde":
         for t in cfg.checkpoints:
             if not 0.0 < t <= cfg.horizon:

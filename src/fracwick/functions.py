@@ -22,12 +22,18 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class CylinderFunction:
-    """h with exact h' and h''. Build via the classmethod constructors only."""
+    """h with exact h' and h''. Build via the classmethod constructors only.
+
+    degree is the polynomial degree a polynomial was built with (its
+    coefficient count less one, so never below the true degree) and None
+    for the transcendentals.
+    """
 
     value: Callable[[Array], Array]
     deriv: Callable[[Array], Array]
     deriv2: Callable[[Array], Array]
     description: str
+    degree: int | None = None
 
     @classmethod
     def polynomial(cls, coeffs) -> "CylinderFunction":
@@ -48,6 +54,7 @@ class CylinderFunction:
             deriv=lambda x, d1=d1: pv(x, d1),
             deriv2=lambda x, d2=d2: pv(x, d2),
             description=desc,
+            degree=c.size - 1,
         )
 
     @classmethod

@@ -44,7 +44,7 @@ from .verify import (
     halves,
     residuals,
 )
-from .wick import isometry_check
+from .wick import isometry_check, isometry_kernels
 from .functions import CylinderFunction
 
 REPORT_HEADER = [
@@ -180,13 +180,9 @@ def _suite_generate(cfg: ExperimentConfig, outdir: str):
 
 
 def _case_names(cfg: ExperimentConfig, registry: dict, default: tuple[str, ...] | None = None) -> list[str]:
-    names = list(cfg.cases or default or registry)
-    for name in names:
-        if name not in registry:
-            raise ConfigError(
-                f"unknown case {name!r} for suite '{cfg.suite}'; known: {sorted(registry)}"
-            )
-    return names
+    """The configured cases, which config_from_mapping checked against the
+    registry before any draw, else the default ones, else all."""
+    return list(cfg.cases or default or registry)
 
 
 def _residual_checks(family: str, default: tuple[str, ...] | None = None):
@@ -220,8 +216,9 @@ def _isometry_checks(cfg, ctx, grid, w):
         "w": CylinderFunction.monomial(1),
         "w2": CylinderFunction.monomial(2),
     }
+    kernels = isometry_kernels(grid, ctx)
     return [
-        lambda name=name, f=f: isometry_check(f, w, ctx, grid=grid, name=f"isometry:{name}")
+        lambda name=name, f=f: isometry_check(f, w, ctx, grid=grid, name=f"isometry:{name}", kernels=kernels)
         for name, f in integrands.items()
     ]
 

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import UnsupportedCaseError
-from .fbm import _BLOCK_CELLS, ensemble_values
+from .fbm import _by_row_blocks, ensemble_values
 from .functions import CylinderFunction, SpaceTimeFunction
 from .grids import TimeGrid
 from .mc import EXACT_REL_TOL, MonteCarloReport, fsum
@@ -43,23 +42,6 @@ from .wick import (
 
 # Cost cap for convergence ladders: paths times total cells across rungs.
 MAX_LADDER_BUDGET = 2**28
-
-
-def _by_row_blocks(w: np.ndarray, block_residuals: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Per-path residuals of w, evaluated a fixed number of rows at a time.
-
-    block_residuals maps a block of path rows to their residuals and
-    reduces only along rows, so the result equals one call on all of w
-    bit for bit. The cell budget is the sampler's; for the residual
-    arithmetic, the fastest row counts measured were 64-256 at grid_n =
-    256, 16-64 at 1024 and 8-16 at 4096. At 4096, 256-row blocks took 1.9x
-    and the unblocked 2000 paths 3.5x as long as 16 rows.
-    """
-    rows = max(1, _BLOCK_CELLS // w.shape[1])
-    out = np.empty(w.shape[0])
-    for lo in range(0, w.shape[0], rows):
-        out[lo : lo + rows] = block_residuals(w[lo : lo + rows])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,29 @@ def wick_square_isserlis(points: np.ndarray, h: float) -> float:
     )
 
 
+def isometry_rhs_dense(fn, w: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
+    """Per-path right side f.Gamma.f + d.(A o A^T).d of the cylinder
+    isometry for the integrand fn, from whole matrices: every path at once,
+    and both forms dense whatever fn is.
+
+    f = h(W_left), d = h'(W_left), Gamma_ij = Cov(dW_i, dW_j) and
+    A_ij = R(t_i, t_{j+1}) - R(t_i, t_j) = Cov(W_i, dW_j), both taken from
+    the covariance matrix R of the grid points.
+    """
+    from fracwick import HurstParameter, covariance_grid
+
+    r = covariance_grid(points, HurstParameter(h))
+    gamma = r[1:, 1:] - r[:-1, 1:]
+    gamma -= r[1:, :-1]
+    gamma += r[:-1, :-1]
+    a = r[:-1, 1:] - r[:-1, :-1]
+    frozen = fn.value(w[:, :-1])
+    deriv = fn.deriv(w[:, :-1])
+    return np.einsum("pi,pi->p", frozen @ gamma, frozen) + np.einsum(
+        "pi,pi->p", deriv @ (a * a.T), deriv
+    )
+
+
 def fou_variance_gammainc(
     lam: float, sigma: float, t: float, h: float, n_quad: int = 20000
 ) -> float:

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from fracwick import cli
+from fracwick import cli, suites
 
 
 def _run(tmp_path, suite, text):
@@ -128,4 +128,16 @@ def test_empty_checkpoints_exit_2(tmp_path, capsys, plots):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "checkpoints" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["verify-ito", "verify-wentzell", "girsanov"])
+def test_unknown_case_exits_2_before_sampling(tmp_path, capsys, monkeypatch, suite):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the ensemble was sampled before the cases were checked")
+
+    monkeypatch.setattr(suites, "ensemble_values", no_draws)
+    assert _run(tmp_path, suite, "grid_n: 16\nn_paths: 8\ncases: [x9]\n") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'cases'" in err and "'x9'" in err
     assert "Traceback" not in err

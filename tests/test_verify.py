@@ -25,7 +25,7 @@ from fracwick import (
     wentzell_case_registry,
     wentzell_residuals,
 )
-from fracwick import cli, verify
+from fracwick import cli, fbm, verify
 from fracwick.functions import CylinderFunction
 from fracwick.mc import fsum
 from fracwick.wick import MAX_NORM_SQ, left_corrections
@@ -80,7 +80,7 @@ def _all_residuals(w, ctx, grid):
 
 class TestRowBlocks:
     GRID_N = 512
-    BLOCK = verify._BLOCK_CELLS // GRID_N
+    BLOCK = fbm._BLOCK_CELLS // GRID_N
 
     @pytest.fixture(scope="class")
     def noise(self):
@@ -94,7 +94,7 @@ class TestRowBlocks:
         ctx, grid, w = noise
         assert self.BLOCK > 1
         blocked = _all_residuals(w[:n_paths], ctx, grid)
-        monkeypatch.setattr(verify, "_BLOCK_CELLS", 2**62)
+        monkeypatch.setattr(fbm, "_BLOCK_CELLS", 2**62)
         whole = _all_residuals(w[:n_paths], ctx, grid)
         for got, want in zip(blocked, whole):
             assert got.shape == (n_paths,)
@@ -105,7 +105,7 @@ class TestRowBlocks:
         ctx, grid, w = noise
         sub_grid = TimeGrid(grid.points[::2])
         blocked = _all_residuals(w[:, ::2], ctx, sub_grid)
-        monkeypatch.setattr(verify, "_BLOCK_CELLS", 2**62)
+        monkeypatch.setattr(fbm, "_BLOCK_CELLS", 2**62)
         whole = _all_residuals(w[:, ::2], ctx, sub_grid)
         for got, want in zip(blocked, whole):
             assert got.tobytes() == want.tobytes()

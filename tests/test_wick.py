@@ -1,6 +1,7 @@
 """Wick-Riemann integrals, exponential functionals, second-moment identity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from fracwick import (
     wick_integral_deterministic,
 )
 from fracwick.mc import fmean, sample_stderr
-from fracwick.wick import cylinder_integral_terms, left_corrections
+from fracwick.wick import cylinder_integral_terms, isometry_kernels, left_corrections
 
 CTX = PhiContext(HurstParameter(0.75))
 
@@ -268,3 +269,94 @@ class TestIsometry:
         assert isinstance(report, MonteCarloReport)
         assert report.name == "probe"
         assert report.n_paths == 500
+
+
+@pytest.mark.parametrize(
+    "fn, degree",
+    [
+        (CylinderFunction.constant(2.0), 0),
+        (CylinderFunction.monomial(1), 1),
+        (CylinderFunction.monomial(4), 4),
+        (CylinderFunction.polynomial([1.5, 0.0]), 1),
+        (CylinderFunction.polynomial([0.0, 1.0, 0.0]), 2),
+        (CylinderFunction.exponential(0.5), None),
+        (CylinderFunction.sine(2.0), None),
+    ],
+)
+def test_cylinder_degree_is_the_recorded_one(fn, degree):
+    # the coefficient count decides, so trailing zeros count: a recorded
+    # degree above the true one only makes the isometry take a dense form
+    assert fn.degree == degree
+
+
+class TestBlockedIsometry:
+    """The row-blocked isometry, with shared kernels and constant forms
+    skipped, against the whole-matrix formula with both forms dense."""
+
+    # 512 nodes make the isometry's blocks the 128-row minimum, so the path
+    # counts below end inside the first block, at its end and past it
+    GRID_N = 511
+    INTEGRANDS = {
+        "const": CylinderFunction.constant(1.3),
+        **{f"x{k}": CylinderFunction.monomial(k) for k in range(1, 5)},
+        "poly(c,0)": CylinderFunction.polynomial([1.5, 0.0]),
+        "affine": CylinderFunction.polynomial([0.5, -2.0]),
+        "exp": CylinderFunction.exponential(0.5),
+        "sin": CylinderFunction.sine(2.0),
+    }
+
+    @pytest.fixture(scope="class", params=[0.55, 0.7, 0.9])
+    def noise(self, request):
+        ctx = PhiContext(HurstParameter(request.param))
+        grid = TimeGrid.uniform(self.GRID_N, 1.0)
+        w = ensemble_values("circulant", grid, ctx.hurst, 31, 300)
+        return ctx, grid, w, isometry_kernels(grid, ctx)
+
+    @pytest.mark.parametrize("n_paths", [2, 127, 128, 129, 300])
+    @pytest.mark.parametrize("name", list(INTEGRANDS))
+    def test_matches_whole_matrix_formula(self, noise, name, n_paths):
+        ctx, grid, w, kernels = noise
+        fn, paths = self.INTEGRANDS[name], w[:n_paths]
+        report = isometry_check(fn, paths, ctx, grid=grid, kernels=kernels)
+        raw, corr = cylinder_integral_terms(fn, paths, grid, ctx)
+        assert report.estimate == fmean((raw - corr) ** 2)
+        want = fmean(oracles.isometry_rhs_dense(fn, paths, grid.points, ctx.h))
+        assert report.oracle == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert isometry_check(fn, paths, ctx, grid=grid) == report
+
+
+class TestPerPathMemory:
+    """Per-path Wick integrals allocate row blocks, never a matrix the size
+    of the paths: at 512 cells x 2000 paths each call stays under a quarter
+    of the paths' bytes, which one full-size temporary already exceeds."""
+
+    @pytest.fixture(scope="class")
+    def noise(self):
+        ctx = PhiContext(HurstParameter(0.7))
+        grid = TimeGrid.uniform(512, 1.0)
+        w = ensemble_values("circulant", grid, ctx.hurst, 41, 2000)
+        return ctx, grid, w
+
+    @staticmethod
+    def _peak(call) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_isometry_with_shared_kernels(self, noise):
+        ctx, grid, w = noise
+        kernels = isometry_kernels(grid, ctx)
+        fn = CylinderFunction.monomial(2)
+        peak = self._peak(lambda: isometry_check(fn, w, ctx, grid=grid, kernels=kernels))
+        assert peak < w.nbytes / 4, f"isometry_check allocated {peak / 2**20:.2f} MiB"
+
+    def test_exponential_functional(self, noise):
+        ctx, grid, w = noise
+        f = StepFunction.constant(1.0, 1.0)
+        peak = self._peak(lambda: exponential_functional(f, w, ctx, grid))
+        assert peak < w.nbytes / 4, f"exponential_functional allocated {peak / 2**20:.2f} MiB"
