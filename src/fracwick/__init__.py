@@ -8,7 +8,6 @@ equations.
 """
 from .errors import (
     ConfigError,
-    DiagonalSingularityError,
     DriftBlowupError,
     EmbeddingFailureError,
     FracwickError,
@@ -22,7 +21,6 @@ from .fbm import (
     GENERATOR_NAMES,
     CovarianceMatrix,
     HurstParameter,
-    covariance,
     covariance_grid,
     empirical_covariance,
     ensemble_values,
@@ -30,16 +28,7 @@ from .fbm import (
 from .functions import CylinderFunction, SpaceTimeFunction
 from .grids import TimeGrid, write_ensemble_csv
 from .mc import MonteCarloReport
-from .phicalc import (
-    PhiContext,
-    inner_product_pc,
-    kernel_K,
-    phi,
-    phi_norm_sq,
-    phi_operator,
-    phi_rect_integral,
-    rect_weight_matrix,
-)
+from .phicalc import PhiContext, phi_norm_sq, rect_weight_matrix
 from .rng import SeedSpec
 from .sde import SdeSpec, fou_oracle, make_fou, sde_mc_stats
 from .stepfn import StepFunction
@@ -69,7 +58,6 @@ __all__ = [
     "ConvergenceTable",
     "CovarianceMatrix",
     "CylinderFunction",
-    "DiagonalSingularityError",
     "DriftBlowupError",
     "DriveSpec",
     "EmbeddingFailureError",
@@ -92,7 +80,6 @@ __all__ = [
     "UnsupportedCaseError",
     "WentzellCase",
     "convergence_study",
-    "covariance",
     "covariance_grid",
     "empirical_covariance",
     "ensemble_values",
@@ -101,16 +88,11 @@ __all__ = [
     "fou_oracle",
     "girsanov_case_registry",
     "girsanov_check",
-    "inner_product_pc",
     "isometry_check",
     "ito_case_registry",
     "ito_residuals",
-    "kernel_K",
     "make_fou",
-    "phi",
     "phi_norm_sq",
-    "phi_operator",
-    "phi_rect_integral",
     "product_rule_case_registry",
     "product_rule_residuals",
     "rect_weight_matrix",

@@ -191,6 +191,8 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
             raise ConfigError("generators must not be empty")
     if "cases" in vals:
         vals["cases"] = _scalar_list("cases", vals["cases"], str)
+        if not vals["cases"]:
+            raise ConfigError("key 'cases' must not be empty; omit it to run the default cases")
     if "checkpoints" in vals:
         vals["checkpoints"] = _scalar_list("checkpoints", vals["checkpoints"], float)
         if not vals["checkpoints"]:
@@ -232,6 +234,13 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
             raise ConfigError(
                 f"key 'cases' lists unknown case(s) {unknown} for suite '{suite}'; "
                 f"known: {sorted(known)}"
+            )
+    if suite == "converge":
+        known = case_registry(cfg.residual, cfg.horizon)
+        if cfg.case not in known:
+            raise ConfigError(
+                f"key 'case' names unknown case {cfg.case!r} for residual "
+                f"'{cfg.residual}'; known: {sorted(known)}"
             )
     if suite == "solve-sde":
         for t in cfg.checkpoints:

@@ -27,10 +27,6 @@ class LongMemoryRequiredError(FracwickError):
     """Operation needs the long-memory regime (Hurst parameter > 1/2)."""
 
 
-class DiagonalSingularityError(FracwickError):
-    """Pointwise kernel evaluation requested on its singular diagonal."""
-
-
 class DriftBlowupError(FracwickError):
     """A solver produced a non-finite state value."""
 

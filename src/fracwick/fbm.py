@@ -62,19 +62,10 @@ class HurstParameter:
         return self.value > 0.5
 
 
-def covariance(s: float, t: float, h: HurstParameter) -> float:
-    """R(s, t) = (t^2H + s^2H - |t - s|^2H) / 2, the fBm covariance.
-
-    Reduces to min(s, t) at h = 1/2.
-    """
-    if s < 0 or t < 0:
-        raise ValueError("covariance is defined for nonnegative times")
-    two_h = 2.0 * h.value
-    return 0.5 * (t**two_h + s**two_h - abs(t - s) ** two_h)
-
-
 def covariance_grid(points: np.ndarray, h: HurstParameter) -> np.ndarray:
-    """Matrix of R(p_i, p_j) over an array of nonnegative times."""
+    """Matrix of R(p_i, p_j) over an array of nonnegative times, with
+    R(s, t) = (t^2H + s^2H - |t - s|^2H) / 2 the fBm covariance; it
+    reduces to min(s, t) at H = 1/2."""
     p = np.asarray(points, dtype=float)
     if np.any(p < 0):
         raise ValueError("covariance is defined for nonnegative times")

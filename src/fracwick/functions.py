@@ -90,16 +90,15 @@ class CylinderFunction:
 
 @dataclass(frozen=True)
 class SpaceTimeFunction:
-    """f(s, x) with exact partials in s and x.
+    """f(s, x) with exact partials in x.
 
     Kinds: bivariate polynomial (coeff[m, k] multiplies s^m x^k, x-degree
     at most 4) or an x-only cylinder function. The s-antiderivative of df/ds
     with x frozen is f(t1, x) - f(t0, x), which the residual harnesses use
-    for exact per-cell time integration.
+    for exact per-cell time integration, so no s-partial is built.
     """
 
     value: Callable[[Array, Array], Array]
-    dt: Callable[[Array, Array], Array]
     dx: Callable[[Array, Array], Array]
     dxx: Callable[[Array, Array], Array]
     description: str
@@ -114,7 +113,6 @@ class SpaceTimeFunction:
                 f"x-degree capped at {MAX_POLY_DEGREE}, got {c.shape[1] - 1}"
             )
         pder = np.polynomial.polynomial.polyder
-        c_dt = pder(c, 1, axis=0) if c.shape[0] > 1 else np.zeros((1, 1))
         c_dx = pder(c, 1, axis=1) if c.shape[1] > 1 else np.zeros((1, 1))
         c_dxx = pder(c, 2, axis=1) if c.shape[1] > 2 else np.zeros((1, 1))
         pv2 = np.polynomial.polynomial.polyval2d
@@ -132,7 +130,6 @@ class SpaceTimeFunction:
 
         return cls(
             value=ev(c),
-            dt=ev(c_dt),
             dx=ev(c_dx),
             dxx=ev(c_dxx),
             description=f"poly2d{c.shape}",
@@ -142,10 +139,8 @@ class SpaceTimeFunction:
     @classmethod
     def from_cylinder(cls, fn: CylinderFunction) -> "SpaceTimeFunction":
         """Time-independent field from a one-variable family member."""
-        zero = lambda s, x: np.zeros(np.broadcast(s, x).shape)
         return cls(
             value=lambda s, x: fn.value(x),
-            dt=zero,
             dx=lambda s, x: fn.deriv(x),
             dxx=lambda s, x: fn.deriv2(x),
             description=fn.description,

@@ -1,9 +1,11 @@
-"""The singular-kernel inner-product calculus of the long-memory regime.
+"""The singular-kernel inner product of the long-memory regime, from R alone.
 
 For H > 1/2 the two-time kernel phi(s, t) = H(2H - 1)|s - t|^(2H - 2) has the
-fBm covariance R as its double antiderivative, so every integral the library
-needs over rectangles reduces to inclusion-exclusion on R. Nothing here
-quadratures the singular kernel directly.
+fBm covariance R as its double antiderivative, so the integral of phi over
+a rectangle is a second difference of R on its corners. This module holds
+only the R-difference kernels the suites use: the cell-pair rectangle
+matrix and the phi-norm of a step function built on it. Nothing here
+evaluates or quadratures the singular kernel pointwise.
 """
 from __future__ import annotations
 
@@ -11,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagonalSingularityError, LongMemoryRequiredError
-from .fbm import HurstParameter, covariance, covariance_grid
-from .stepfn import StepFunction, common_refinement
+from .errors import LongMemoryRequiredError
+from .fbm import HurstParameter, covariance_grid
+from .stepfn import StepFunction
 
 
 @dataclass(frozen=True)
@@ -32,53 +34,12 @@ class PhiContext:
     def h(self) -> float:
         return self.hurst.value
 
-    @property
-    def prefactor(self) -> float:
-        """H(2H - 1), the kernel's constant factor."""
-        return self.h * (2.0 * self.h - 1.0)
 
-
-def phi(s: float, t: float, ctx: PhiContext) -> float:
-    """Pointwise kernel H(2H-1)|s-t|^(2H-2); singular on the diagonal."""
-    if s == t:
-        raise DiagonalSingularityError("phi(s, s) diverges; integrate it instead")
-    return ctx.prefactor * abs(s - t) ** (2.0 * ctx.h - 2.0)
-
-
-def phi_rect_integral(a: float, b: float, c: float, d: float, ctx: PhiContext) -> float:
-    """Integral of phi over [a, b] x [c, d] by inclusion-exclusion on R.
-
-    Exact (up to float rounding) for every rectangle in the quadrant,
-    including rectangles that straddle the singular diagonal.
-    """
-    if not (0 <= a <= b and 0 <= c <= d):
-        raise ValueError("need 0 <= a <= b and 0 <= c <= d")
-    h = ctx.hurst
-    return (
-        covariance(b, d, h)
-        - covariance(a, d, h)
-        - covariance(b, c, h)
-        + covariance(a, c, h)
-    )
-
-
-def kernel_K(s: float, t: float, ctx: PhiContext) -> float:
-    """K(s, t) = integral of phi(s, v) over v in [0, t].
-
-    Closed form H(s^(2H-1) - sign(s - t)|s - t|^(2H-1)); continuous across
-    s = t with K(t, t) = H t^(2H-1).
-    """
-    if s < 0 or t < 0:
-        raise ValueError("kernel_K is defined for nonnegative times")
-    if s == 0 and t == 0:
-        raise ValueError("kernel_K needs s > 0 or t > 0")
-    h = ctx.h
-    e = 2.0 * h - 1.0
-    return h * (s**e - np.sign(s - t) * abs(s - t) ** e)
-
-
+# No suite calls it; the benchmark's tracer patches it by name.
 def kernel_K_array(s: np.ndarray, t: np.ndarray, ctx: PhiContext) -> np.ndarray:
-    """Vectorized kernel_K with broadcasting (domain unchecked)."""
+    """K(s, t) = integral of phi(s, v) over v in [0, t], broadcast (domain
+    unchecked): H(s^(2H-1) - sign(s - t)|s - t|^(2H-1)), with K(t, t) =
+    H t^(2H-1)."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     h = ctx.h
@@ -86,39 +47,22 @@ def kernel_K_array(s: np.ndarray, t: np.ndarray, ctx: PhiContext) -> np.ndarray:
     return h * (s**e - np.sign(s - t) * np.abs(s - t) ** e)
 
 
+def _second_difference(r: np.ndarray) -> np.ndarray:
+    """((R_11 - R_01) - R_10) + R_00 over the cells of the lattice r = R(u_i, u_j),
+    evaluated in place in that order: entry (i, j) integrates phi over
+    [u_i, u_{i+1}] x [u_j, u_{j+1}]."""
+    out = r[1:, 1:] - r[:-1, 1:]
+    out -= r[1:, :-1]
+    out += r[:-1, :-1]
+    return out
+
+
 def rect_weight_matrix(breakpoints: np.ndarray, ctx: PhiContext) -> np.ndarray:
-    """Matrix of phi rectangle integrals over all cell pairs of one grid.
-
-    Entry (i, j) integrates phi over [u_i, u_{i+1}] x [u_j, u_{j+1}];
-    computed by second differences of R on the breakpoint lattice.
-    """
-    r = covariance_grid(breakpoints, ctx.hurst)
-    return r[1:, 1:] - r[:-1, 1:] - r[1:, :-1] + r[:-1, :-1]
-
-
-def inner_product_pc(f: StepFunction, g: StepFunction, ctx: PhiContext) -> float:
-    """<f, g>_phi for piecewise-constant f, g. Exact double rectangle sum."""
-    pts, lf, lg = common_refinement(f, g)
-    rect = rect_weight_matrix(pts, ctx)
-    return float(lf @ rect @ lg)
+    """Matrix of phi rectangle integrals over all cell pairs of one grid."""
+    return _second_difference(covariance_grid(breakpoints, ctx.hurst))
 
 
 def phi_norm_sq(f: StepFunction, ctx: PhiContext) -> float:
     """||f||^2_phi = <f, f>_phi; the variance of the noise integral of f."""
     rect = rect_weight_matrix(f.grid.points, ctx)
     return float(f.levels @ rect @ f.levels)
-
-
-def phi_operator(g: StepFunction, t: float | np.ndarray, ctx: PhiContext) -> float | np.ndarray:
-    """(Phi g)(t) = integral of phi(t, u) g(u) du over the whole support.
-
-    For step g this is a finite difference of kernel_K across the cells:
-    sum_j c_j (K(t, u_{j+1}) - K(t, u_j)).
-    """
-    pts = g.grid.points
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0):
-        raise ValueError("phi_operator is defined for nonnegative times")
-    k_vals = kernel_K_array(tt[..., None], pts[None, :], ctx)
-    out = (np.diff(k_vals, axis=-1) * g.levels).sum(axis=-1)
-    return float(out[0]) if np.isscalar(t) else out

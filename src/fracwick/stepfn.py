@@ -51,7 +51,7 @@ class StepFunction:
         mids = 0.5 * (grid.points[:-1] + grid.points[1:])
         return cls(grid, np.asarray(fn(mids), dtype=float))
 
-    # -- evaluation and algebra ---------------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
     def __call__(self, u: float | np.ndarray) -> np.ndarray | float:
         uu = np.asarray(u, dtype=float)
@@ -60,35 +60,7 @@ class StepFunction:
         out = np.where(inside, np.take(self.levels, np.clip(idx, 0, self.levels.size - 1)), 0.0)
         return float(out) if np.isscalar(u) else out
 
-    def scaled(self, c: float) -> "StepFunction":
-        return StepFunction(self.grid, c * self.levels)
-
-    def __add__(self, other: "StepFunction") -> "StepFunction":
-        pts = refine_breakpoints(self.grid, other.grid)
-        return StepFunction(
-            TimeGrid(pts), levels_on(self, pts) + levels_on(other, pts)
-        )
-
     @property
     def horizon(self) -> float:
         return self.grid.horizon
 
-
-def refine_breakpoints(*grids: TimeGrid) -> np.ndarray:
-    """Sorted union of breakpoints. Distinct floats stay distinct: no
-    tolerance-based merging, so nearly-equal points yield thin cells rather
-    than silently moved mass."""
-    pts = np.unique(np.concatenate([g.points for g in grids]))
-    return pts
-
-
-def levels_on(f: StepFunction, breakpoints: np.ndarray) -> np.ndarray:
-    """Levels of f on the cells of a refined breakpoint array."""
-    left = breakpoints[:-1]
-    return np.asarray(f(left), dtype=float)
-
-
-def common_refinement(f: StepFunction, g: StepFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(breakpoints, levels of f, levels of g) on the union grid."""
-    pts = refine_breakpoints(f.grid, g.grid)
-    return pts, levels_on(f, pts), levels_on(g, pts)

@@ -1,16 +1,18 @@
 """Numerical verification of the calculus identities.
 
 Each identity becomes a residual: left side minus the frozen left-endpoint
-discretization of the right side, evaluated per path. Deterministic kernel
-factors are exact and built once per call as per-cell vectors: spacings,
-half cells dt^2H / 2, left corrections, diagonal cell integrals, and the
-lower kernel G_i = sum_{j<i} b_j int int phi over cell i x cell j, which
-summation by parts reduces to differences of the covariance R at the jumps
-of the step coefficient b (O(n k) for k jumps; no n x n matrix). Everything
-random is frozen at left endpoints and evaluated over fixed row blocks of
-the path matrix; every reduction runs along a row, so the blocking changes
-no bit of the result. Expectations of residuals are then tested by
-z-score, pathwise magnitudes by refinement ladders.
+discretization of the right side, evaluated per path. On the grid every
+Wick correction of a noise sum and the phi-derivative trace term that
+comes with it carry the same lower kernel G_i = sum_{j<i} b_j int int phi
+over cell i x cell j, once with each sign, so G cancels exactly; the left
+corrections and the diagonal cell integrals leave only the half cell
+dt_i^2H / 2. Every residual is therefore first-order Riemann sums plus a
+half-cell compensator, and its only deterministic kernel factors are the
+spacings and the half cells. Everything random is frozen at left endpoints
+and evaluated over fixed row blocks of the path matrix; every reduction
+runs along a row, so the blocking changes no bit of the result.
+Expectations of residuals are then tested by z-score, pathwise magnitudes
+by refinement ladders.
 
 The residual families are named in RESIDUAL_NAMES; case_registry(name)
 gives a family's cases and residuals(name, ...) is the one dispatch from a
@@ -33,12 +35,7 @@ from .grids import TimeGrid
 from .mc import EXACT_REL_TOL, MonteCarloReport, fsum
 from .phicalc import PhiContext
 from .stepfn import StepFunction
-from .wick import (
-    _step_levels_on_path,
-    diagonal_cell_integrals,
-    exponential_functional,
-    left_corrections,
-)
+from .wick import _step_levels_on_path, exponential_functional
 
 # Cost cap for convergence ladders: paths times total cells across rungs.
 MAX_LADDER_BUDGET = 2**28
@@ -75,6 +72,7 @@ def _drive_values(x0: float, a: np.ndarray, b: np.ndarray, dt: np.ndarray, dw: n
     return out
 
 
+# No residual needs it, as G cancels; the benchmark's tracer patches it by name.
 def _lower_kernel(b_levels: np.ndarray, t: np.ndarray, ctx: PhiContext) -> np.ndarray:
     """G_i = sum_{j<i} b_j int int phi over cell i x cell j: the exact
     integral over cell i of the phi-derivative of the drive frozen at t_i.
@@ -115,15 +113,13 @@ class ItoCase:
 
 
 def ito_residuals(case: ItoCase, w: np.ndarray, ctx: PhiContext, grid: TimeGrid) -> np.ndarray:
-    """Per-path residual of the change-of-variable identity."""
+    """Per-path residual of the change-of-variable identity: the noise
+    sum, the exact drift and the half-cell compensator sum f_xx a^2 dt^2H / 2;
+    the Wick correction of the noise sum cancels the curvature's lower kernel."""
     f = case.f
     t = grid.points
     a_lv = np.ones(grid.n_intervals) if case.a is None else _step_levels_on_path(case.a, grid)
-    g_kernel = _lower_kernel(a_lv, t, ctx)
-    half_cell = 0.5 * grid.spacings ** (2.0 * ctx.h)
-    diag_cells = g_kernel + a_lv * half_cell
-    wick_weights = a_lv * g_kernel
-    curvature_weights = a_lv * diag_cells
+    curvature_weights = a_lv * a_lv * (0.5 * grid.spacings ** (2.0 * ctx.h))
     left_t = t[:-1]
     f_start = f.value(0.0, 0.0)
 
@@ -140,13 +136,12 @@ def ito_residuals(case: ItoCase, w: np.ndarray, ctx: PhiContext, grid: TimeGrid)
         fxx = f.dxx(left_t, left_x)
         lhs = f.value(t[-1], eta[:, -1]) - f_start
         noise_term = (fx * (a_lv * dw)).sum(axis=1)
-        wick_corr = (fxx * wick_weights).sum(axis=1)
         # d f / ds vanishes identically for a time-independent field
         drift_term = (
             f.dt_cell_integral(left_t, t[1:], left_x).sum(axis=1) if f.time_dependent else 0.0
         )
         curvature_term = (fxx * curvature_weights).sum(axis=1)
-        return lhs - (noise_term - wick_corr + drift_term + curvature_term)
+        return lhs - (noise_term + drift_term + curvature_term)
 
     return _by_row_blocks(w, block)
 
@@ -163,19 +158,17 @@ def product_rule_residuals(
     ctx: PhiContext,
     grid: TimeGrid,
 ) -> np.ndarray:
-    """Per-path residual of d(XY) = X dY + Y dX + cross phi-derivative terms."""
-    t = grid.points
+    """Per-path residual of d(XY) = X dY + Y dX + cross phi-derivative terms.
+
+    The Wick corrections of X dY and Y dX cancel the lower kernels of the
+    cross terms, which leaves sum 2 b_x b_y dt^2H / 2.
+    """
     dt = grid.spacings
     ax, bx = _cell_levels(x_case.drift, grid), _cell_levels(x_case.diffusion, grid)
     ay, by = _cell_levels(y_case.drift, grid), _cell_levels(y_case.diffusion, grid)
-    gx = _lower_kernel(bx, t, ctx)
-    gy = _lower_kernel(by, t, ctx)
-    half_cell = 0.5 * dt ** (2.0 * ctx.h)
-    # With deterministic coefficients the Wick corrections and the cross
-    # phi-derivative term are deterministic, identical for every path.
-    x_dy_corr = fsum(by * gx)
-    y_dx_corr = fsum(bx * gy)
-    cross = fsum(bx * (gy + by * half_cell) + by * (gx + bx * half_cell))
+    # With deterministic coefficients the cross term, twice b_x b_y times
+    # the half cell, is the same for every path.
+    cross = fsum(bx * by * dt ** (2.0 * ctx.h))
     ay_dt, ax_dt = ay * dt, ax * dt
     start = x_case.x0 * y_case.x0
 
@@ -193,7 +186,7 @@ def product_rule_residuals(
         x_dy = (xm * ay_dt).sum(axis=1) + (xl * (by * dw)).sum(axis=1)
         y_dx = (ym * ax_dt).sum(axis=1) + (yl * (bx * dw)).sum(axis=1)
         lhs = x[:, -1] * y[:, -1] - start
-        return lhs - (x_dy - x_dy_corr + y_dx - y_dx_corr + cross)
+        return lhs - (x_dy + y_dx + cross)
 
     return _by_row_blocks(w, block)
 
@@ -251,20 +244,23 @@ class WentzellCase:
 
 
 def wentzell_residuals(case: WentzellCase, w: np.ndarray, ctx: PhiContext, grid: TimeGrid) -> np.ndarray:
-    """Per-path residual of the eight-term composition identity."""
+    """Per-path residual of the composition identity.
+
+    Of its eight right-hand terms, the Wick corrections of the two noise
+    sums cancel the lower kernels of the curvature and the two cross
+    terms, and the left corrections cancel the diagonal cell integrals up
+    to the half cells, which leaves six: drift, noise, sum F_xx b^2 dt^2H / 2,
+    field drift, field noise and sum 2 h'(X) b dt^2H / 2.
+    """
     t = grid.points
     dt = grid.spacings
     drive = case.drive
     a_lv = _cell_levels(drive.drift, grid)
     b_lv = _cell_levels(drive.diffusion, grid)
-    gx = _lower_kernel(b_lv, t, ctx)
     half_cell = 0.5 * dt ** (2.0 * ctx.h)
-    dx_diag = gx + b_lv * half_cell
-    lc = left_corrections(grid, ctx)
-    diag_cells = diagonal_cell_integrals(grid, ctx)
     a_dt = a_lv * dt
-    b_dx_diag = b_lv * dx_diag
-    b_cross = b_lv * diag_cells
+    curvature_weights = b_lv * b_lv * half_cell
+    cross_weights = 2.0 * b_lv * half_cell
     tl, tr = t[:-1], t[1:]
     start = case.field_value(0.0, 0.0, drive.x0)
 
@@ -286,21 +282,17 @@ def wentzell_residuals(case: WentzellCase, w: np.ndarray, ctx: PhiContext, grid:
         g_right = case.g.value(x[:, 1:])
         drift_term = (0.5 * (f_dx + f_dx_right) * a_dt).sum(axis=1)
         noise_term = (f_dx * (b_lv * dw)).sum(axis=1)
-        noise_corr = (b_lv * (h_deriv * lc + f_dxx * gx)).sum(axis=1)
-        curvature_term = (f_dxx * b_dx_diag).sum(axis=1)
+        curvature_term = (f_dxx * curvature_weights).sum(axis=1)
         field_drift_term = (0.5 * (g_val + g_right) * dt).sum(axis=1)
         field_noise_term = (h_val * dw).sum(axis=1)
-        field_noise_corr = (h_deriv * gx).sum(axis=1)
-        cross_field_term = (h_deriv * b_cross).sum(axis=1)
-        cross_process_term = (h_deriv * dx_diag).sum(axis=1)
+        cross_term = (h_deriv * cross_weights).sum(axis=1)
         rhs = (
             drift_term
-            + (noise_term - noise_corr)
+            + noise_term
             + curvature_term
             + field_drift_term
-            + (field_noise_term - field_noise_corr)
-            + cross_field_term
-            + cross_process_term
+            + field_noise_term
+            + cross_term
         )
         return lhs - rhs
 

@@ -4,13 +4,16 @@ The discrete integral of a random integrand F against the noise subtracts,
 cell by cell, the exact kernel integral that converts an ordinary product
 into a Wick product: for F = h(W) the correction on [t_i, t_{i+1}] is
 h'(W_{t_i}) (R(t_i, t_{i+1}) - R(t_i, t_i)), computed from R directly, never
-by quadrature of the singular kernel. The second-moment identity is exact on
-the grid as well: both of its kernels are differences of R. They depend on
-the grid and H alone, so `isometry_kernels` builds them once and every
-check of a suite shares them. A form whose factor is the same constant on
-every path and cell is a kernel sum times that constant squared, so a
-polynomial integrand of degree 0 needs no dense form and one of degree 1
-needs only the one of h(W).
+by quadrature of the singular kernel. Only the cylinder integrals and the
+isometry use these corrections: in the residuals of `verify`, each Wick
+correction cancels against the phi-derivative trace term that carries the
+same kernel, so they are written there without it. The second-moment
+identity is exact on the grid as well: both of its kernels are differences
+of R. They depend on the grid and H alone, so `isometry_kernels` builds
+them once and every check of a suite shares them. A form whose factor is
+the same constant on every path and cell is a kernel sum times that
+constant squared, so a polynomial integrand of degree 0 needs no dense form
+and one of degree 1 needs only the one of h(W).
 
 Every integral takes the ensemble as a (paths x nodes) matrix of noise
 values on a grid and returns one value per row; one path is a one-row
@@ -29,7 +32,7 @@ from .fbm import _BLOCK_CELLS, _by_row_blocks, covariance_grid
 from .functions import CylinderFunction
 from .grids import TimeGrid
 from .mc import MonteCarloReport
-from .phicalc import PhiContext, phi_norm_sq
+from .phicalc import PhiContext, _second_difference, phi_norm_sq
 from .stepfn import StepFunction
 
 # Guard for the exponential functional: exponents beyond this overflow.
@@ -50,13 +53,6 @@ def left_corrections(grid: TimeGrid, ctx: PhiContext) -> np.ndarray:
     t = grid.points**two_h
     dt = grid.spacings**two_h
     return 0.5 * (t[1:] - t[:-1] - dt)
-
-
-def diagonal_cell_integrals(grid: TimeGrid, ctx: PhiContext) -> np.ndarray:
-    """Per-cell integral of K(s, s) = H s^(2H-1): half the increment of t^2H."""
-    two_h = 2.0 * ctx.h
-    t = grid.points**two_h
-    return 0.5 * (t[1:] - t[:-1])
 
 
 def _step_levels_on_path(f: StepFunction, grid: TimeGrid) -> np.ndarray:
@@ -117,9 +113,7 @@ def isometry_kernels(grid: TimeGrid, ctx: PhiContext) -> tuple[np.ndarray, np.nd
     integrand, so a suite builds them once for all its checks.
     """
     r = covariance_grid(grid.points, ctx.hurst)
-    gamma = r[1:, 1:] - r[:-1, 1:]  # rect_weight_matrix's terms, in its order
-    gamma -= r[1:, :-1]
-    gamma += r[:-1, :-1]
+    gamma = _second_difference(r)
     a = r[:-1, 1:] - r[:-1, :-1]
     del r  # so that at most three n x n arrays are alive at once
     return gamma, a * a.T

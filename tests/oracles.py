@@ -62,6 +62,49 @@ def phi_rect_quadrature(
     return val
 
 
+def covariance(s: float, t: float, h: float) -> float:
+    """R(s, t) = (t^2H + s^2H - |t - s|^2H) / 2 for one pair of times."""
+    if s < 0 or t < 0:
+        raise ValueError("covariance is defined for nonnegative times")
+    two_h = 2.0 * h
+    return 0.5 * (t**two_h + s**two_h - abs(t - s) ** two_h)
+
+
+def phi_rect_integral(a: float, b: float, c: float, d: float, h: float) -> float:
+    """Integral of phi over [a, b] x [c, d] by inclusion-exclusion on the
+    scalar R at the four corners; exact for every rectangle in the
+    quadrant, including those that straddle the singular diagonal."""
+    if not (0 <= a <= b and 0 <= c <= d):
+        raise ValueError("need 0 <= a <= b and 0 <= c <= d")
+    return covariance(b, d, h) - covariance(a, d, h) - covariance(b, c, h) + covariance(a, c, h)
+
+
+def phi_inner_product(f, g, h: float) -> float:
+    """<f, g>_phi for step functions f, g: the double sum over the cells of
+    f and the cells of g, each on its own grid, of level times level times
+    the rectangle integral."""
+    pf, pg = f.grid.points, g.grid.points
+    return math.fsum(
+        f.levels[i] * g.levels[j] * phi_rect_integral(pf[i], pf[i + 1], pg[j], pg[j + 1], h)
+        for i in range(f.levels.size)
+        for j in range(g.levels.size)
+    )
+
+
+def phi_operator(g, t, h: float):
+    """(Phi g)(t) = integral of phi(t, u) g(u) du for a step g, as the
+    differences sum_j g_j (K(t, u_{j+1}) - K(t, u_j)) of the closed form
+    K(t, v) = H (t^(2H-1) - sign(t - v) |t - v|^(2H-1)) = dR(t, v)/dt."""
+    tt = np.asarray(t, dtype=float)
+    if np.any(tt < 0):
+        raise ValueError("phi_operator is defined for nonnegative times")
+    e = 2.0 * h - 1.0
+    u = g.grid.points
+    k = h * (tt[..., None] ** e - np.sign(tt[..., None] - u) * np.abs(tt[..., None] - u) ** e)
+    out = (np.diff(k, axis=-1) * g.levels).sum(axis=-1)
+    return float(out) if np.isscalar(t) else out
+
+
 def phi_weighted_covariance_integral(horizon: float, h: float) -> float:
     """Closed form of int int R_H(s,t) phi(s,t) ds dt over [0,T]^2.
 
@@ -289,3 +332,96 @@ def write_ensemble_csv_per_cell(points: np.ndarray, values: np.ndarray, out_path
         for k, row in enumerate(values):
             for t, v in zip(points, row):
                 writer.writerow([k, format(float(t), ".17g"), format(float(v), ".17g")])
+
+
+def _diagonal_cell_integrals(points: np.ndarray, h: float) -> np.ndarray:
+    """Per-cell integral of K(s, s) = H s^(2H-1): half the increment of t^2H."""
+    t = points ** (2.0 * h)
+    return 0.5 * (t[1:] - t[:-1])
+
+
+def _drive_values(x0, a, b, dt, dw):
+    incr = a * dt + b * dw
+    return x0 + np.concatenate([np.zeros((dw.shape[0], 1)), np.cumsum(incr, axis=1)], axis=1)
+
+
+def _cell_levels(coef, grid):
+    if hasattr(coef, "levels"):
+        return np.asarray(coef(grid.points[:-1]), dtype=float)
+    return np.full(grid.n_intervals, float(coef))
+
+
+def ito_residuals_reference(case, w, ctx, grid):
+    """Change-of-variable residual with every term written out: the noise
+    sum less its Wick correction sum f_xx a G, the exact drift, and the
+    curvature sum f_xx a (G + a dt^2H / 2), with G the lower kernel."""
+    from fracwick import verify
+
+    f, t = case.f, grid.points
+    a = np.ones(grid.n_intervals) if case.a is None else _cell_levels(case.a, grid)
+    g = verify._lower_kernel(a, t, ctx)
+    half_cell = 0.5 * grid.spacings ** (2.0 * ctx.h)
+    dw = np.diff(w, axis=1)
+    eta = np.concatenate([np.zeros((w.shape[0], 1)), np.cumsum(a * dw, axis=1)], axis=1)
+    x = eta[:, :-1]
+    fx, fxx = f.dx(t[:-1], x), f.dxx(t[:-1], x)
+    lhs = f.value(t[-1], eta[:, -1]) - f.value(0.0, 0.0)
+    noise = (fx * a * dw).sum(axis=1)
+    wick_corr = (fxx * a * g).sum(axis=1)
+    drift = f.dt_cell_integral(t[:-1], t[1:], x).sum(axis=1)
+    curvature = (fxx * a * (g + a * half_cell)).sum(axis=1)
+    return lhs - (noise - wick_corr + drift + curvature)
+
+
+def product_rule_residuals_reference(x_case, y_case, w, ctx, grid):
+    """Product-rule residual with every term written out: X dY and Y dX
+    less their Wick corrections sum b_y G_x and sum b_x G_y, and the cross
+    term sum b_x (G_y + b_y dt^2H / 2) + b_y (G_x + b_x dt^2H / 2)."""
+    from fracwick import verify
+
+    t, dt = grid.points, grid.spacings
+    ax, bx = _cell_levels(x_case.drift, grid), _cell_levels(x_case.diffusion, grid)
+    ay, by = _cell_levels(y_case.drift, grid), _cell_levels(y_case.diffusion, grid)
+    gx, gy = verify._lower_kernel(bx, t, ctx), verify._lower_kernel(by, t, ctx)
+    half_cell = 0.5 * dt ** (2.0 * ctx.h)
+    dw = np.diff(w, axis=1)
+    x = _drive_values(x_case.x0, ax, bx, dt, dw)
+    y = _drive_values(y_case.x0, ay, by, dt, dw)
+    xm, ym = 0.5 * (x[:, :-1] + x[:, 1:]), 0.5 * (y[:, :-1] + y[:, 1:])
+    x_dy = (xm * ay * dt).sum(axis=1) + (x[:, :-1] * by * dw).sum(axis=1) - (by * gx).sum()
+    y_dx = (ym * ax * dt).sum(axis=1) + (y[:, :-1] * bx * dw).sum(axis=1) - (bx * gy).sum()
+    cross = (bx * (gy + by * half_cell) + by * (gx + bx * half_cell)).sum()
+    return x[:, -1] * y[:, -1] - x_case.x0 * y_case.x0 - (x_dy + y_dx + cross)
+
+
+def wentzell_residuals_reference(case, w, ctx, grid):
+    """Composition residual with all eight right-hand terms written out:
+    drift, noise less its correction sum b (h'(X) lc + F_xx G), curvature
+    sum F_xx b (G + b dt^2H / 2), field drift, field noise less its
+    correction sum h'(X) G, and the cross terms sum h'(X) b diag and
+    sum h'(X) (G + b dt^2H / 2), with lc the left corrections and diag the
+    diagonal cell integrals."""
+    from fracwick import verify, wick
+
+    t, dt = grid.points, grid.spacings
+    a = _cell_levels(case.drive.drift, grid)
+    b = _cell_levels(case.drive.diffusion, grid)
+    g = verify._lower_kernel(b, t, ctx)
+    half_cell = 0.5 * dt ** (2.0 * ctx.h)
+    lc = wick.left_corrections(grid, ctx)
+    diag = _diagonal_cell_integrals(t, ctx.h)
+    dw = np.diff(w, axis=1)
+    x = _drive_values(case.drive.x0, a, b, dt, dw)
+    tl, wl, xl = t[:-1], w[:, :-1], x[:, :-1]
+    f_dx, f_dxx = case.field_dx(tl, wl, xl), case.field_dxx(tl, wl, xl)
+    h_deriv = case.h.deriv(xl)
+    lhs = case.field_value(t[-1], w[:, -1], x[:, -1]) - case.field_value(0.0, 0.0, case.drive.x0)
+    drift = (0.5 * (f_dx + case.field_dx(t[1:], w[:, 1:], x[:, 1:])) * a * dt).sum(axis=1)
+    noise = (f_dx * b * dw).sum(axis=1) - (b * (h_deriv * lc + f_dxx * g)).sum(axis=1)
+    curvature = (f_dxx * b * (g + b * half_cell)).sum(axis=1)
+    field_drift = (0.5 * (case.g.value(xl) + case.g.value(x[:, 1:])) * dt).sum(axis=1)
+    field_noise = (case.h.value(xl) * dw).sum(axis=1) - (h_deriv * g).sum(axis=1)
+    cross_field = (h_deriv * b * diag).sum(axis=1)
+    cross_process = (h_deriv * (g + b * half_cell)).sum(axis=1)
+    rhs = drift + noise + curvature + field_drift + field_noise + cross_field + cross_process
+    return lhs - rhs

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from fracwick import cli, suites
+from fracwick import cli, suites, verify
 
 
 def _run(tmp_path, suite, text):
@@ -131,13 +131,31 @@ def test_empty_checkpoints_exit_2(tmp_path, capsys, plots):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("suite", ["verify-ito", "verify-wentzell", "girsanov"])
-def test_unknown_case_exits_2_before_sampling(tmp_path, capsys, monkeypatch, suite):
+def _no_draws(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("the ensemble was sampled before the cases were checked")
 
+    # the shared-ensemble suites sample through suites, converge's ladder
+    # through verify
     monkeypatch.setattr(suites, "ensemble_values", no_draws)
-    assert _run(tmp_path, suite, "grid_n: 16\nn_paths: 8\ncases: [x9]\n") == 2
+    monkeypatch.setattr(verify, "ensemble_values", no_draws)
+
+
+@pytest.mark.parametrize("suite", ["verify-ito", "verify-wentzell", "girsanov", "converge"])
+def test_unknown_case_exits_2_before_sampling(tmp_path, capsys, monkeypatch, suite):
+    _no_draws(monkeypatch)
+    key, value = ("case", "x9") if suite == "converge" else ("cases", "[x9]")
+    assert _run(tmp_path, suite, f"grid_n: 16\nn_paths: 8\n{key}: {value}\n") == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "'cases'" in err and "'x9'" in err
+    assert "config error" in err and f"'{key}'" in err and "'x9'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["verify-ito", "verify-wentzell", "girsanov"])
+def test_empty_cases_exit_2_before_sampling(tmp_path, capsys, monkeypatch, suite):
+    # an empty list would otherwise fall back to the default cases
+    _no_draws(monkeypatch)
+    assert _run(tmp_path, suite, "grid_n: 16\nn_paths: 8\ncases: []\n") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'cases'" in err
     assert "Traceback" not in err

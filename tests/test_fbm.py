@@ -17,7 +17,6 @@ from fracwick import (
     SeedSpec,
     SingularCovarianceError,
     TimeGrid,
-    covariance,
     covariance_grid,
     empirical_covariance,
     ensemble_values,
@@ -33,7 +32,7 @@ GENERATORS = ["cholesky", "circulant", "hosking"]
 class TestCovariance:
     def test_frozen_values(self):
         h = HurstParameter(0.75)
-        assert covariance(2.0, 2.0, h) == pytest.approx(2.8284271247461903, rel=1e-15)
+        assert covariance_grid(np.array([2.0]), h)[0, 0] == pytest.approx(2.8284271247461903, rel=1e-15)
         grid = covariance_grid(np.array([0.5, 1.0]), h)
         want = np.array([[0.35355339059327373, 0.5], [0.5, 1.0]])
         np.testing.assert_allclose(grid, want, rtol=1e-15)
@@ -41,7 +40,7 @@ class TestCovariance:
     @given(s=st.floats(0.0, 10.0), t=st.floats(0.0, 10.0))
     @settings(max_examples=200, deadline=None)
     def test_reduces_to_min_at_half(self, s, t):
-        got = covariance(s, t, HurstParameter(0.5))
+        got = covariance_grid(np.array([s, t]), HurstParameter(0.5))[0, 1]
         assert got == pytest.approx(min(s, t), abs=1e-12), (
             f"H=1/2 covariance({s},{t}) = {got}, want min = {min(s, t)}"
         )
@@ -73,8 +72,6 @@ class TestCovariance:
             assert eig[0] > -1e-12 * eig[-1], f"negative eigenvalue {eig[0]} at H={h}"
 
     def test_negative_times_rejected(self):
-        with pytest.raises(ValueError):
-            covariance(-0.1, 1.0, HurstParameter(0.7))
         with pytest.raises(ValueError):
             covariance_grid(np.array([-1.0, 1.0]), HurstParameter(0.7))
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fracwick import GridMismatchError, StepFunction, TimeGrid, write_ensemble_csv
-from fracwick.stepfn import common_refinement, levels_on, refine_breakpoints
+from fracwick.wick import _step_levels_on_path
 
 
 class TestTimeGrid:
@@ -130,41 +130,24 @@ class TestStepFunction:
         with pytest.raises(ValueError):
             StepFunction(TimeGrid.uniform(3, 1.0), np.array([1.0, 2.0]))
 
-    def test_scaled_and_add_use_common_refinement(self):
-        f = StepFunction.indicator(0.0, 0.5)
-        g = StepFunction.indicator(0.25, 1.0)
-        s = f.scaled(2.0) + g
-        for u, want in [(0.1, 2.0), (0.3, 3.0), (0.7, 1.0)]:
-            assert s(u) == want, f"sum wrong at u={u}: {s(u)} != {want}"
-
-    @given(
-        a=st.floats(0.0, 0.9),
-        width=st.floats(0.01, 1.0),
-        c=st.floats(-5.0, 5.0),
-        u=st.floats(0.0, 2.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_scaling_is_pointwise(self, a, width, c, u):
-        f = StepFunction.indicator(a, a + width)
-        assert f.scaled(c)(u) == c * f(u)
-
     def test_refinement_preserves_values(self):
+        # the levels on a path grid that refines both step functions' grids
         f = StepFunction(TimeGrid(np.array([0.0, 0.4, 1.0])), np.array([1.0, -2.0]))
         g = StepFunction(TimeGrid(np.array([0.0, 0.7, 1.0])), np.array([0.5, 4.0]))
-        pts, lf, lg = common_refinement(f, g)
-        np.testing.assert_array_equal(pts, [0.0, 0.4, 0.7, 1.0])
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        np.testing.assert_array_equal(lf, f(mids))
-        np.testing.assert_array_equal(lg, g(mids))
+        path = TimeGrid(np.array([0.0, 0.4, 0.7, 1.0]))
+        mids = 0.5 * (path.points[:-1] + path.points[1:])
+        np.testing.assert_array_equal(_step_levels_on_path(f, path), f(mids))
+        np.testing.assert_array_equal(_step_levels_on_path(g, path), g(mids))
 
     def test_refine_breakpoints_never_merges_distinct_floats(self):
+        # a path grid keeps nearly equal breakpoints as a thin cell, and each
+        # step function's levels land on the cells its own breakpoints bound
         eps = 1e-15
-        g1 = TimeGrid(np.array([0.0, 0.5, 1.0]))
-        g2 = TimeGrid(np.array([0.0, 0.5 + eps, 1.0]))
-        pts = refine_breakpoints(g1, g2)
-        assert pts.size == 4, f"expected distinct nearby points kept, got {pts}"
-        f = StepFunction(g1, np.array([1.0, 0.0]))
-        lv = levels_on(f, pts)
+        path = TimeGrid(np.array([0.0, 0.5, 0.5 + eps, 1.0]))
+        assert path.n_intervals == 3, f"expected distinct nearby points kept, got {path.points}"
+        f = StepFunction(TimeGrid(np.array([0.0, 0.5, 1.0])), np.array([1.0, 0.0]))
+        g = StepFunction(TimeGrid(np.array([0.0, 0.5 + eps, 1.0])), np.array([1.0, 0.0]))
         np.testing.assert_array_equal(
-            lv, [1.0, 0.0, 0.0], err_msg="cells evaluate at their left endpoints"
+            _step_levels_on_path(f, path), [1.0, 0.0, 0.0], err_msg="cells evaluate at their left endpoints"
         )
+        np.testing.assert_array_equal(_step_levels_on_path(g, path), [1.0, 1.0, 0.0])

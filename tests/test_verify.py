@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 import yaml
 
+import oracles
 from fracwick import (
     HurstParameter,
     PhiContext,
     StepFunction,
     TimeGrid,
-    covariance,
     ensemble_values,
     exponential_mean_report,
     girsanov_check,
@@ -65,6 +65,52 @@ class TestLowerKernel:
         grid = _grids()["irregular"]
         g = verify._lower_kernel(np.ones(grid.n_intervals), grid.points, ctx)
         np.testing.assert_allclose(g, left_corrections(grid, ctx), rtol=0.0, atol=1e-16)
+
+
+def _split_irregular_grid():
+    """Irregular cells on each half of [0, 1], so that 1/2, the breakpoint
+    of the halves coefficients, is a node."""
+    rng = np.random.default_rng(5)
+    left, right = (np.cumsum(rng.uniform(0.2, 1.8, 24)) for _ in range(2))
+    return TimeGrid(np.concatenate([[0.0], 0.5 * left / left[-1], 0.5 + 0.5 * right / right[-1]]))
+
+
+def _step_wentzell_case():
+    """The quad field driven by a step drift and the halves step diffusion."""
+    drift = StepFunction(TimeGrid(np.array([0.0, 0.5, 1.0])), np.array([0.2, -0.4]))
+    drive = verify.DriveSpec(x0=0.1, drift=drift, diffusion=verify.halves(1.0), label="steps")
+    return verify.WentzellCase.from_polys(
+        [0.0, 0.0, 1.0], [0.5, 0.0, 0.0], [0.0, 1.0, 0.0], drive, label="quad-steps"
+    )
+
+
+_REFERENCES = {
+    "ito": oracles.ito_residuals_reference,
+    "product-rule": oracles.product_rule_residuals_reference,
+    "wentzell": oracles.wentzell_residuals_reference,
+}
+
+
+class TestSurvivingTerms:
+    """Every Wick correction cancels the lower kernel of its trace term, so
+    each residual keeps only Riemann sums and a half-cell compensator; the
+    reference with all terms written out agrees per path."""
+
+    @pytest.mark.parametrize("h", HURSTS)
+    @pytest.mark.parametrize("grid_name", ["uniform", "irregular"])
+    @pytest.mark.parametrize("family", verify.RESIDUAL_NAMES)
+    def test_matches_term_by_term_reference(self, family, grid_name, h):
+        ctx = PhiContext(HurstParameter(h))
+        grid = TimeGrid.uniform(64, 1.0) if grid_name == "uniform" else _split_irregular_grid()
+        w = ensemble_values("cholesky", grid, ctx.hurst, 7, 64)
+        cases = dict(verify.case_registry(family))
+        if family == "wentzell":
+            cases["quad-steps"] = _step_wentzell_case()
+        for name, case in cases.items():
+            got = verify.residuals(family, case, w, ctx, grid)
+            want = _REFERENCES[family](*(case if family == "product-rule" else (case,)), w, ctx, grid)
+            gap = np.abs(got - want).max()
+            assert gap <= 1e-13 * max(1.0, np.abs(want).max()), f"{family}:{name} off by {gap:.3e}"
 
 
 def _all_residuals(w, ctx, grid):
@@ -191,7 +237,7 @@ def _drift_shift_loop(g, t, ctx):
     """The scalar covariance loop that drift_shift_at replaced."""
     pts = g.grid.points
     terms = [
-        lv * (covariance(t, pts[j + 1], ctx.hurst) - covariance(t, pts[j], ctx.hurst))
+        lv * (oracles.covariance(t, pts[j + 1], ctx.h) - oracles.covariance(t, pts[j], ctx.h))
         for j, lv in enumerate(g.levels)
     ]
     return fsum(np.array(terms))
