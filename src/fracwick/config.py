@@ -138,10 +138,14 @@ def _check_type(key: str, value: Any, tp: type) -> Any:
 
 
 def _scalar_list(key: str, value: list, tp: type) -> tuple:
-    out = []
-    for i, item in enumerate(value):
-        out.append(_check_type(f"{key}[{i}]", item, tp))
-    return tuple(out)
+    """The entries of a list key, each checked for type. Every list key
+    names a set (generators, cases, report times, ladder rungs), so an entry
+    given twice would run or report the same thing twice: refused."""
+    out = tuple(_check_type(f"{key}[{i}]", item, tp) for i, item in enumerate(value))
+    repeated = sorted({v for i, v in enumerate(out) if v in out[:i]})
+    if repeated:
+        raise ConfigError(f"key '{key}' lists {repeated} more than once")
+    return out
 
 
 def _parse_sde_block(raw: dict) -> SdeBlock:

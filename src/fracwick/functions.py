@@ -20,13 +20,26 @@ MAX_POLY_DEGREE = 4
 Array = np.ndarray
 
 
+def _trimmed(coeffs) -> tuple[float, ...]:
+    """coeffs without their trailing zeros; () is the zero polynomial."""
+    out = [float(v) for v in coeffs]
+    while out and out[-1] == 0.0:
+        out.pop()
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class CylinderFunction:
     """h with exact h' and h''. Build via the classmethod constructors only.
 
     degree is the polynomial degree a polynomial was built with (its
     coefficient count less one, so never below the true degree) and None
-    for the transcendentals.
+    for the transcendentals. coeffs records a polynomial's coefficients,
+    lowest power first, with trailing zeros trimmed: () is the zero
+    polynomial and a 1-tuple a constant, whatever the padding it was built
+    with. It is None for the transcendentals. The residual arithmetic reads
+    coeffs, so that it builds no factor that is identically zero; the
+    isometry reads degree.
     """
 
     value: Callable[[Array], Array]
@@ -34,6 +47,7 @@ class CylinderFunction:
     deriv2: Callable[[Array], Array]
     description: str
     degree: int | None = None
+    coeffs: tuple[float, ...] | None = None
 
     @classmethod
     def polynomial(cls, coeffs) -> "CylinderFunction":
@@ -55,6 +69,7 @@ class CylinderFunction:
             deriv2=lambda x, d2=d2: pv(x, d2),
             description=desc,
             degree=c.size - 1,
+            coeffs=_trimmed(c),
         )
 
     @classmethod
@@ -96,6 +111,12 @@ class SpaceTimeFunction:
     at most 4) or an x-only cylinder function. The s-antiderivative of df/ds
     with x frozen is f(t1, x) - f(t0, x), which the residual harnesses use
     for exact per-cell time integration, so no s-partial is built.
+
+    coeffs records a polynomial field as f(s, x) = sum_m s^m P_m(x):
+    coeffs[m] holds the coefficients of P_m, lowest power first, trailing
+    zeros trimmed as in CylinderFunction.coeffs, and trailing zero P_m are
+    dropped, so () is the zero field and a 1-tuple a field constant in
+    time. It is None for the transcendentals.
     """
 
     value: Callable[[Array, Array], Array]
@@ -103,6 +124,7 @@ class SpaceTimeFunction:
     dxx: Callable[[Array, Array], Array]
     description: str
     time_dependent: bool = True
+    coeffs: tuple[tuple[float, ...], ...] | None = None
 
     @classmethod
     def polynomial(cls, coeff) -> "SpaceTimeFunction":
@@ -115,25 +137,28 @@ class SpaceTimeFunction:
         pder = np.polynomial.polynomial.polyder
         c_dx = pder(c, 1, axis=1) if c.shape[1] > 1 else np.zeros((1, 1))
         c_dxx = pder(c, 2, axis=1) if c.shape[1] > 2 else np.zeros((1, 1))
-        pv2 = np.polynomial.polynomial.polyval2d
+        pv = np.polynomial.polynomial.polyval
 
         def ev(coefs):
             def f(s, x):
-                # polyval2d demands equal shapes; the field contract is
-                # broadcasting (time row against a path matrix).
-                ss, xx = np.broadcast_arrays(
-                    np.asarray(s, dtype=float), np.asarray(x, dtype=float)
-                )
-                return pv2(ss, xx, coefs)
+                # The time polynomial of each power of x is evaluated once
+                # per time, then Horner's rule in x runs against the path
+                # matrix: the operations of polyval2d on s broadcast to the
+                # shape of x, without building that broadcast.
+                return pv(x, pv(np.asarray(s, dtype=float), coefs), tensor=False)
 
             return f
 
+        record = [_trimmed(row) for row in c]
+        while record and not record[-1]:
+            record.pop()
         return cls(
             value=ev(c),
             dx=ev(c_dx),
             dxx=ev(c_dxx),
             description=f"poly2d{c.shape}",
-            time_dependent=c.shape[0] > 1,
+            time_dependent=len(record) > 1,
+            coeffs=tuple(record),
         )
 
     @classmethod
@@ -145,8 +170,5 @@ class SpaceTimeFunction:
             dxx=lambda s, x: fn.deriv2(x),
             description=fn.description,
             time_dependent=False,
+            coeffs=fn.coeffs and (fn.coeffs,),
         )
-
-    def dt_cell_integral(self, t0: Array, t1: Array, x: Array) -> Array:
-        """Exact integral of df/ds over s in [t0, t1] with x frozen."""
-        return self.value(t1, x) - self.value(t0, x)

@@ -14,6 +14,17 @@ runs along a row, so the blocking changes no bit of the result.
 Expectations of residuals are then tested by z-score, pathwise magnitudes
 by refinement ladders.
 
+Only the factors that are not identically zero are built. A polynomial
+field carries its coefficients with trailing zeros trimmed
+(CylinderFunction.coeffs, SpaceTimeFunction.coeffs), and the residuals read
+that record: each partial is formed by Horner's rule on its nonzero
+coefficients, a zero partial contributes no term, and one that is a number
+scales a single sum of its weights. A term whose drive level is identically
+zero is not formed either, and a drive with zero diffusion is one time row
+for all paths. A zero factor is skipped rather than evaluated because
+evaluating it costs a paths x cells product and row sum for a term that is
+exactly 0, while skipping x + 0 leaves every other sum with the same bits.
+
 The residual families are named in RESIDUAL_NAMES; case_registry(name)
 gives a family's cases and residuals(name, ...) is the one dispatch from a
 family to its residual function, used by the suites and the ladders alike.
@@ -23,7 +34,9 @@ those attributes (a profiler's span, a test's spy) sees every case.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +75,24 @@ def _cell_levels(coef: float | StepFunction, grid: TimeGrid) -> np.ndarray:
     return np.full(grid.n_intervals, float(coef))
 
 
-def _drive_values(x0: float, a: np.ndarray, b: np.ndarray, dt: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Left-endpoint trajectory x0 + sum (a dt + b dW) along noise rows."""
-    incr = a * dt + b * dw
-    out = np.empty((dw.shape[0], dw.shape[1] + 1))
-    out[:, 0] = x0
-    np.cumsum(incr, axis=1, out=out[:, 1:])
-    out[:, 1:] += x0
-    return out
+def _drive(x0: float, a_dt: np.ndarray, b_dw: np.ndarray | None):
+    """X = x0 + sum (a dt + b dW) from the cell weights a dt and, unless b
+    is identically zero, the noise increments b dW: at the left ends of the
+    cells, at their right ends and at the horizon. It is x0 itself when
+    a dt is identically zero too, time rows when only b is, and
+    path-by-cell matrices otherwise."""
+    if b_dw is None:
+        if not a_dt.any():
+            return x0, x0, x0
+        incr = a_dt
+    else:
+        incr = a_dt + b_dw if a_dt.any() else b_dw
+    x = np.empty(incr.shape[:-1] + (incr.shape[-1] + 1,))
+    x[..., 0] = x0
+    np.cumsum(incr, axis=-1, out=x[..., 1:])
+    if x0:
+        x[..., 1:] += x0
+    return x[..., :-1], x[..., 1:], x[..., -1]
 
 
 # No residual needs it, as G cancels; the benchmark's tracer patches it by name.
@@ -98,6 +121,80 @@ def _lower_kernel(b_levels: np.ndarray, t: np.ndarray, ctx: PhiContext) -> np.nd
 
 
 # ---------------------------------------------------------------------------
+# degree-aware arithmetic: only the factors that are not identically zero
+# ---------------------------------------------------------------------------
+
+
+def _dx(coeffs: tuple[float, ...]) -> tuple[float, ...]:
+    """Coefficients of the x-derivative of sum_k coeffs[k] x^k, each k c_k
+    formed as numpy's polyder forms it."""
+    return tuple(k * c for k, c in enumerate(coeffs) if k)
+
+
+def _powers(s, n: int) -> tuple:
+    """1, s, ..., s^(n-1), each power one product from the last."""
+    out = [1.0]
+    while len(out) < n:
+        out.append(out[-1] * s)
+    return tuple(out)
+
+
+def _field(polys, bases, x):
+    """sum_j bases[j] * P_j(x), with polys[j] the recorded coefficients of
+    P_j, by Horner's rule in x on the combined coefficients
+    c_k = sum_j bases[j] * polys[j][k].
+
+    A base is a number, a time row or a path matrix, and so is x. A zero
+    coefficient is skipped and a unit one not multiplied out, so the zero
+    field is 0.0, a field constant in x is built from its bases alone, and
+    x is not read unless some P_j has degree 1 or more.
+    """
+    acc = None
+    for k in reversed(range(max(map(len, polys), default=0))):
+        parts = [_scaled(p[k], b) for b, p in zip(bases, polys) if k < len(p) and p[k]]
+        c = functools.reduce(operator.add, parts) if parts else None
+        if acc is None:
+            acc = c
+        else:
+            acc = _scaled(acc, x) if c is None else c + _scaled(acc, x)
+    return 0.0 if acc is None else acc
+
+
+def _scaled(c, v):
+    """c * v, and v itself when c is the number 1."""
+    return v if np.ndim(c) == 0 and c == 1.0 else c * v
+
+
+def _row_sums(factor, weights):
+    """Row sums of factor * weights along the cells. A factor that is one
+    number scales a single sum of the weights, and 0.0 builds nothing."""
+    if np.ndim(factor) == 0:
+        return factor * weights.sum(axis=-1) if factor else 0.0
+    return (factor * weights).sum(axis=-1)
+
+
+def _per_path(values, wb: np.ndarray) -> np.ndarray:
+    """values, which is one number when no surviving term reads the noise,
+    as one value per row of the block wb."""
+    return np.broadcast_to(values, wb.shape[:1])
+
+
+def _partials(f: SpaceTimeFunction):
+    """f, f_x and f_xx as functions of (s, x). A polynomial field is
+    evaluated from its recorded coefficients, so that its zero and
+    x-constant partials cost nothing per path; any other field by its own
+    partials."""
+    if f.coeffs is None:
+        return f.value, f.dx, f.dxx
+    dx = tuple(map(_dx, f.coeffs))
+    dxx = tuple(map(_dx, dx))
+    return tuple(
+        (lambda s, x, polys=polys: _field(polys, _powers(s, len(polys)), x))
+        for polys in (f.coeffs, dx, dxx)
+    )
+
+
+# ---------------------------------------------------------------------------
 # change-of-variable residual
 # ---------------------------------------------------------------------------
 
@@ -116,32 +213,34 @@ def ito_residuals(case: ItoCase, w: np.ndarray, ctx: PhiContext, grid: TimeGrid)
     """Per-path residual of the change-of-variable identity: the noise
     sum, the exact drift and the half-cell compensator sum f_xx a^2 dt^2H / 2;
     the Wick correction of the noise sum cancels the curvature's lower kernel."""
-    f = case.f
     t = grid.points
     a_lv = np.ones(grid.n_intervals) if case.a is None else _step_levels_on_path(case.a, grid)
     curvature_weights = a_lv * a_lv * (0.5 * grid.spacings ** (2.0 * ctx.h))
-    left_t = t[:-1]
-    f_start = f.value(0.0, 0.0)
+    left_t, right_t = t[:-1], t[1:]
+    f_value, f_dx, f_dxx = _partials(case.f)
+    f_start = f_value(0.0, 0.0)
 
     def block(wb: np.ndarray) -> np.ndarray:
         dw = np.diff(wb, axis=1)
         if case.a is None:
-            eta = wb
+            eta, a_dw = wb, dw
         else:
+            a_dw = a_lv * dw
             eta = np.empty_like(wb)
             eta[:, 0] = 0.0
-            np.cumsum(a_lv * dw, axis=1, out=eta[:, 1:])
+            np.cumsum(a_dw, axis=1, out=eta[:, 1:])
         left_x = eta[:, :-1]
-        fx = f.dx(left_t, left_x)
-        fxx = f.dxx(left_t, left_x)
-        lhs = f.value(t[-1], eta[:, -1]) - f_start
-        noise_term = (fx * (a_lv * dw)).sum(axis=1)
-        # d f / ds vanishes identically for a time-independent field
+        lhs = f_value(t[-1], eta[:, -1]) - f_start
+        noise_term = _row_sums(f_dx(left_t, left_x), a_dw)
+        # the exact integral of d f / ds over each cell, x frozen; it
+        # vanishes identically for a time-independent field
         drift_term = (
-            f.dt_cell_integral(left_t, t[1:], left_x).sum(axis=1) if f.time_dependent else 0.0
+            np.sum(f_value(right_t, left_x) - f_value(left_t, left_x), axis=-1)
+            if case.f.time_dependent
+            else 0.0
         )
-        curvature_term = (fxx * curvature_weights).sum(axis=1)
-        return lhs - (noise_term + drift_term + curvature_term)
+        curvature_term = _row_sums(f_dxx(left_t, left_x), curvature_weights)
+        return _per_path(lhs - (noise_term + drift_term + curvature_term), wb)
 
     return _by_row_blocks(w, block)
 
@@ -161,7 +260,10 @@ def product_rule_residuals(
     """Per-path residual of d(XY) = X dY + Y dX + cross phi-derivative terms.
 
     The Wick corrections of X dY and Y dX cancel the lower kernels of the
-    cross terms, which leaves sum 2 b_x b_y dt^2H / 2.
+    cross terms, which leaves sum 2 b_x b_y dt^2H / 2. A sum whose
+    coefficient is identically zero is not built; a drive whose diffusion
+    is identically zero is one time row for every path, and one whose
+    drift is too is the number x0.
     """
     dt = grid.spacings
     ax, bx = _cell_levels(x_case.drift, grid), _cell_levels(x_case.diffusion, grid)
@@ -170,23 +272,28 @@ def product_rule_residuals(
     # the half cell, is the same for every path.
     cross = fsum(bx * by * dt ** (2.0 * ctx.h))
     ay_dt, ax_dt = ay * dt, ax * dt
+    # the trapezoid's 1/2 rides on the weights: scaling by 1/2 is exact
+    half_ay_dt, half_ax_dt = 0.5 * ay_dt, 0.5 * ax_dt
     start = x_case.x0 * y_case.x0
 
     def block(wb: np.ndarray) -> np.ndarray:
-        dw = np.diff(wb, axis=1)
-        x = _drive_values(x_case.x0, ax, bx, dt, dw)
-        y = _drive_values(y_case.x0, ay, by, dt, dw)
-        xl, yl = x[:, :-1], y[:, :-1]
+        dw = np.diff(wb, axis=1) if bx.any() or by.any() else None
+        bx_dw = bx * dw if bx.any() else None
+        by_dw = by * dw if by.any() else None
+        xl, xr, x_end = _drive(x_case.x0, ax_dt, bx_dw)
+        yl, yr, y_end = _drive(y_case.x0, ay_dt, by_dw)
         # dW sums are left-endpoint by construction; the ordinary dt
         # integrals use the trapezoid rule, which is exact for the affine
         # family and keeps the deterministic part of the residual at
         # rounding level.
-        xm = 0.5 * (x[:, :-1] + x[:, 1:])
-        ym = 0.5 * (y[:, :-1] + y[:, 1:])
-        x_dy = (xm * ay_dt).sum(axis=1) + (xl * (by * dw)).sum(axis=1)
-        y_dx = (ym * ax_dt).sum(axis=1) + (yl * (bx * dw)).sum(axis=1)
-        lhs = x[:, -1] * y[:, -1] - start
-        return lhs - (x_dy + y_dx + cross)
+        x_dy = (_row_sums(xl + xr, half_ay_dt) if ay.any() else 0.0) + (
+            _row_sums(xl, by_dw) if by_dw is not None else 0.0
+        )
+        y_dx = (_row_sums(yl + yr, half_ax_dt) if ax.any() else 0.0) + (
+            _row_sums(yl, bx_dw) if bx_dw is not None else 0.0
+        )
+        lhs = x_end * y_end - start
+        return _per_path(lhs - (x_dy + y_dx + cross), wb)
 
     return _by_row_blocks(w, block)
 
@@ -233,15 +340,6 @@ class WentzellCase:
             label=label,
         )
 
-    def field_value(self, t, w_t, x):
-        return self.f0.value(x) + self.g.value(x) * t + self.h.value(x) * w_t
-
-    def field_dx(self, t, w_t, x):
-        return self.f0.deriv(x) + self.g.deriv(x) * t + self.h.deriv(x) * w_t
-
-    def field_dxx(self, t, w_t, x):
-        return self.f0.deriv2(x) + self.g.deriv2(x) * t + self.h.deriv2(x) * w_t
-
 
 def wentzell_residuals(case: WentzellCase, w: np.ndarray, ctx: PhiContext, grid: TimeGrid) -> np.ndarray:
     """Per-path residual of the composition identity.
@@ -251,7 +349,20 @@ def wentzell_residuals(case: WentzellCase, w: np.ndarray, ctx: PhiContext, grid:
     terms, and the left corrections cancel the diagonal cell integrals up
     to the half cells, which leaves six: drift, noise, sum F_xx b^2 dt^2H / 2,
     field drift, field noise and sum 2 h'(X) b dt^2H / 2.
+
+    With F_t(x) = sum_k (f0_k + g_k t + h_k W_t) x^k, the partials F_x and
+    F_xx come from the recorded coefficients by Horner's rule in x. A term
+    is built only if its factor and its drive level are not identically
+    zero; X is built only if some polynomial has degree 1 or more, and is a
+    time row when the diffusion is identically zero.
     """
+    polys = (case.f0.coeffs, case.g.coeffs, case.h.coeffs)
+    if None in polys:
+        raise UnsupportedCaseError("the field family needs polynomial f0, g and h")
+    g, h = polys[1:]
+    dx = tuple(map(_dx, polys))
+    dxx = tuple(map(_dx, dx))
+    h_dx = dx[2]
     t = grid.points
     dt = grid.spacings
     drive = case.drive
@@ -259,33 +370,42 @@ def wentzell_residuals(case: WentzellCase, w: np.ndarray, ctx: PhiContext, grid:
     b_lv = _cell_levels(drive.diffusion, grid)
     half_cell = 0.5 * dt ** (2.0 * ctx.h)
     a_dt = a_lv * dt
+    # the trapezoid's 1/2 rides on the weights: scaling by 1/2 is exact
+    half_a_dt, half_dt = 0.5 * a_dt, 0.5 * dt
     curvature_weights = b_lv * b_lv * half_cell
     cross_weights = 2.0 * b_lv * half_cell
     tl, tr = t[:-1], t[1:]
-    start = case.field_value(0.0, 0.0, drive.x0)
+    drifts, noisy = a_lv.any(), b_lv.any()
+    # F_x is not identically zero exactly when some polynomial reads x
+    reads_x = any(dx)
+    start = _field(polys, (1.0, 0.0, 0.0), drive.x0)
+    one = (1.0,)
 
     def block(wb: np.ndarray) -> np.ndarray:
-        dw = np.diff(wb, axis=1)
-        x = _drive_values(drive.x0, a_lv, b_lv, dt, dw)
-        wl = wb[:, :-1]
-        xl = x[:, :-1]
-        f_dx = case.field_dx(tl, wl, xl)
-        f_dxx = case.field_dxx(tl, wl, xl)
-        h_val = case.h.value(xl)
-        h_deriv = case.h.deriv(xl)
-        g_val = case.g.value(xl)
-
-        lhs = case.field_value(t[-1], wb[:, -1], x[:, -1]) - start
+        dw = np.diff(wb, axis=1) if (noisy and reads_x) or h else None
+        b_dw = b_lv * dw if noisy and reads_x else None
+        x_left, x_right, x_end = _drive(drive.x0, a_dt, b_dw) if reads_x else (None,) * 3
+        left = (1.0, tl, wb[:, :-1])
+        f_dx = _field(dx, left, x_left)
+        lhs = _field(polys, (1.0, t[-1], wb[:, -1]), x_end) - start
         # Ordinary dt integrals use the trapezoid rule (exact for the affine
         # family); only the dW sums are pinned to left endpoints.
-        f_dx_right = case.field_dx(tr, wb[:, 1:], x[:, 1:])
-        g_right = case.g.value(x[:, 1:])
-        drift_term = (0.5 * (f_dx + f_dx_right) * a_dt).sum(axis=1)
-        noise_term = (f_dx * (b_lv * dw)).sum(axis=1)
-        curvature_term = (f_dxx * curvature_weights).sum(axis=1)
-        field_drift_term = (0.5 * (g_val + g_right) * dt).sum(axis=1)
-        field_noise_term = (h_val * dw).sum(axis=1)
-        cross_term = (h_deriv * cross_weights).sum(axis=1)
+        drift_term = (
+            _row_sums(f_dx + _field(dx, (1.0, tr, wb[:, 1:]), x_right), half_a_dt)
+            if drifts and reads_x
+            else 0.0
+        )
+        noise_term = _row_sums(f_dx, b_dw) if b_dw is not None else 0.0
+        curvature_term = (
+            _row_sums(_field(dxx, left, x_left), curvature_weights) if noisy and any(dxx) else 0.0
+        )
+        field_drift_term = (
+            _row_sums(_field((g,), one, x_left) + _field((g,), one, x_right), half_dt)
+            if g
+            else 0.0
+        )
+        field_noise_term = _row_sums(_field((h,), one, x_left), dw) if h else 0.0
+        cross_term = _row_sums(_field((h_dx,), one, x_left), cross_weights) if noisy and h_dx else 0.0
         rhs = (
             drift_term
             + noise_term
@@ -294,7 +414,7 @@ def wentzell_residuals(case: WentzellCase, w: np.ndarray, ctx: PhiContext, grid:
             + field_noise_term
             + cross_term
         )
-        return lhs - rhs
+        return _per_path(lhs - rhs, wb)
 
     return _by_row_blocks(w, block)
 

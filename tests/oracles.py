@@ -345,6 +345,36 @@ def _drive_values(x0, a, b, dt, dw):
     return x0 + np.concatenate([np.zeros((dw.shape[0], 1)), np.cumsum(incr, axis=1)], axis=1)
 
 
+def _drive_values_polyval(x0, a, b, dt, dw):
+    """The drive as the residual functions formed it before they skipped
+    zero terms: cumulative sums of a dt + b dW, then x0 added."""
+    incr = a * dt + b * dw
+    out = np.empty((dw.shape[0], dw.shape[1] + 1))
+    out[:, 0] = x0
+    np.cumsum(incr, axis=1, out=out[:, 1:])
+    out[:, 1:] += x0
+    return out
+
+
+def _field_value(case, t, w_t, x):
+    """F_t(x) = f0(x) + g(x) t + h(x) W_t of a Wentzell case, by its
+    polynomials' own callables."""
+    return case.f0.value(x) + case.g.value(x) * t + case.h.value(x) * w_t
+
+
+def _field_dx(case, t, w_t, x):
+    return case.f0.deriv(x) + case.g.deriv(x) * t + case.h.deriv(x) * w_t
+
+
+def _field_dxx(case, t, w_t, x):
+    return case.f0.deriv2(x) + case.g.deriv2(x) * t + case.h.deriv2(x) * w_t
+
+
+def _dt_cell_integral(f, t0, t1, x):
+    """Integral of df/ds over [t0, t1] with x frozen: f(t1, x) - f(t0, x)."""
+    return f.value(t1, x) - f.value(t0, x)
+
+
 def _cell_levels(coef, grid):
     if hasattr(coef, "levels"):
         return np.asarray(coef(grid.points[:-1]), dtype=float)
@@ -368,7 +398,7 @@ def ito_residuals_reference(case, w, ctx, grid):
     lhs = f.value(t[-1], eta[:, -1]) - f.value(0.0, 0.0)
     noise = (fx * a * dw).sum(axis=1)
     wick_corr = (fxx * a * g).sum(axis=1)
-    drift = f.dt_cell_integral(t[:-1], t[1:], x).sum(axis=1)
+    drift = _dt_cell_integral(f, t[:-1], t[1:], x).sum(axis=1)
     curvature = (fxx * a * (g + a * half_cell)).sum(axis=1)
     return lhs - (noise - wick_corr + drift + curvature)
 
@@ -413,10 +443,10 @@ def wentzell_residuals_reference(case, w, ctx, grid):
     dw = np.diff(w, axis=1)
     x = _drive_values(case.drive.x0, a, b, dt, dw)
     tl, wl, xl = t[:-1], w[:, :-1], x[:, :-1]
-    f_dx, f_dxx = case.field_dx(tl, wl, xl), case.field_dxx(tl, wl, xl)
+    f_dx, f_dxx = _field_dx(case, tl, wl, xl), _field_dxx(case, tl, wl, xl)
     h_deriv = case.h.deriv(xl)
-    lhs = case.field_value(t[-1], w[:, -1], x[:, -1]) - case.field_value(0.0, 0.0, case.drive.x0)
-    drift = (0.5 * (f_dx + case.field_dx(t[1:], w[:, 1:], x[:, 1:])) * a * dt).sum(axis=1)
+    lhs = _field_value(case, t[-1], w[:, -1], x[:, -1]) - _field_value(case, 0.0, 0.0, case.drive.x0)
+    drift = (0.5 * (f_dx + _field_dx(case, t[1:], w[:, 1:], x[:, 1:])) * a * dt).sum(axis=1)
     noise = (f_dx * b * dw).sum(axis=1) - (b * (h_deriv * lc + f_dxx * g)).sum(axis=1)
     curvature = (f_dxx * b * (g + b * half_cell)).sum(axis=1)
     field_drift = (0.5 * (case.g.value(xl) + case.g.value(x[:, 1:])) * dt).sum(axis=1)
@@ -424,4 +454,79 @@ def wentzell_residuals_reference(case, w, ctx, grid):
     cross_field = (h_deriv * b * diag).sum(axis=1)
     cross_process = (h_deriv * (g + b * half_cell)).sum(axis=1)
     rhs = drift + noise + curvature + field_drift + field_noise + cross_field + cross_process
+    return lhs - rhs
+
+
+# The residuals by generic polyval arithmetic: every partial of every
+# field is evaluated by its callables over whole path matrices, zero and
+# constant ones included, and every surviving term is formed, whatever its
+# weight. These are the residual functions as they stood before they
+# skipped identically zero factors, on all rows at once.
+
+
+def ito_residuals_polyval(case, w, ctx, grid):
+    f = case.f
+    t = grid.points
+    a_lv = np.ones(grid.n_intervals) if case.a is None else _cell_levels(case.a, grid)
+    curvature_weights = a_lv * a_lv * (0.5 * grid.spacings ** (2.0 * ctx.h))
+    left_t = t[:-1]
+    dw = np.diff(w, axis=1)
+    if case.a is None:
+        eta = w
+    else:
+        eta = np.empty_like(w)
+        eta[:, 0] = 0.0
+        np.cumsum(a_lv * dw, axis=1, out=eta[:, 1:])
+    left_x = eta[:, :-1]
+    fx = f.dx(left_t, left_x)
+    fxx = f.dxx(left_t, left_x)
+    lhs = f.value(t[-1], eta[:, -1]) - f.value(0.0, 0.0)
+    noise_term = (fx * (a_lv * dw)).sum(axis=1)
+    drift_term = (
+        _dt_cell_integral(f, left_t, t[1:], left_x).sum(axis=1) if f.time_dependent else 0.0
+    )
+    curvature_term = (fxx * curvature_weights).sum(axis=1)
+    return lhs - (noise_term + drift_term + curvature_term)
+
+
+def product_rule_residuals_polyval(x_case, y_case, w, ctx, grid):
+    dt = grid.spacings
+    ax, bx = _cell_levels(x_case.drift, grid), _cell_levels(x_case.diffusion, grid)
+    ay, by = _cell_levels(y_case.drift, grid), _cell_levels(y_case.diffusion, grid)
+    cross = math.fsum(bx * by * dt ** (2.0 * ctx.h))
+    dw = np.diff(w, axis=1)
+    x = _drive_values_polyval(x_case.x0, ax, bx, dt, dw)
+    y = _drive_values_polyval(y_case.x0, ay, by, dt, dw)
+    xl, yl = x[:, :-1], y[:, :-1]
+    xm = 0.5 * (x[:, :-1] + x[:, 1:])
+    ym = 0.5 * (y[:, :-1] + y[:, 1:])
+    x_dy = (xm * (ay * dt)).sum(axis=1) + (xl * (by * dw)).sum(axis=1)
+    y_dx = (ym * (ax * dt)).sum(axis=1) + (yl * (bx * dw)).sum(axis=1)
+    lhs = x[:, -1] * y[:, -1] - x_case.x0 * y_case.x0
+    return lhs - (x_dy + y_dx + cross)
+
+
+def wentzell_residuals_polyval(case, w, ctx, grid):
+    t = grid.points
+    dt = grid.spacings
+    drive = case.drive
+    a_lv = _cell_levels(drive.drift, grid)
+    b_lv = _cell_levels(drive.diffusion, grid)
+    half_cell = 0.5 * dt ** (2.0 * ctx.h)
+    a_dt = a_lv * dt
+    tl, tr = t[:-1], t[1:]
+    dw = np.diff(w, axis=1)
+    x = _drive_values_polyval(drive.x0, a_lv, b_lv, dt, dw)
+    wl, xl = w[:, :-1], x[:, :-1]
+    f_dx = _field_dx(case, tl, wl, xl)
+    f_dxx = _field_dxx(case, tl, wl, xl)
+    lhs = _field_value(case, t[-1], w[:, -1], x[:, -1]) - _field_value(case, 0.0, 0.0, drive.x0)
+    f_dx_right = _field_dx(case, tr, w[:, 1:], x[:, 1:])
+    drift_term = (0.5 * (f_dx + f_dx_right) * a_dt).sum(axis=1)
+    noise_term = (f_dx * (b_lv * dw)).sum(axis=1)
+    curvature_term = (f_dxx * (b_lv * b_lv * half_cell)).sum(axis=1)
+    field_drift_term = (0.5 * (case.g.value(xl) + case.g.value(x[:, 1:])) * dt).sum(axis=1)
+    field_noise_term = (case.h.value(xl) * dw).sum(axis=1)
+    cross_term = (case.h.deriv(xl) * (2.0 * b_lv * half_cell)).sum(axis=1)
+    rhs = drift_term + noise_term + curvature_term + field_drift_term + field_noise_term + cross_term
     return lhs - rhs

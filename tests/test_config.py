@@ -159,3 +159,21 @@ def test_empty_cases_exit_2_before_sampling(tmp_path, capsys, monkeypatch, suite
     err = capsys.readouterr().err
     assert "config error" in err and "'cases'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "suite, text, key",
+    [
+        ("verify-ito", "cases: [x1, x1]\n", "cases"),
+        ("generate", "generators: [circulant, circulant]\n", "generators"),
+        ("solve-sde", "checkpoints: [0.5, 0.5]\n", "checkpoints"),
+    ],
+)
+def test_repeated_list_entry_exits_2_before_sampling(tmp_path, capsys, monkeypatch, suite, text, key):
+    # a repeated case writes its report row twice, a repeated generator its
+    # CSV twice, a repeated checkpoint its mean and variance rows twice
+    _no_draws(monkeypatch)
+    assert _run(tmp_path, suite, "grid_n: 16\nn_paths: 8\n" + text) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"key '{key}'" in err and "more than once" in err
+    assert "Traceback" not in err

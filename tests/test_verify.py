@@ -2,6 +2,7 @@
 the configuration errors the CLI turns into exit status 2."""
 
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from fracwick import (
     wentzell_residuals,
 )
 from fracwick import cli, fbm, verify
-from fracwick.functions import CylinderFunction
+from fracwick.functions import CylinderFunction, SpaceTimeFunction
 from fracwick.mc import fsum
 from fracwick.wick import MAX_NORM_SQ, left_corrections
 
@@ -91,6 +92,19 @@ _REFERENCES = {
 }
 
 
+def _cases(family):
+    """The family's registry cases, plus the quad field under a step drift
+    and a step diffusion for the composition."""
+    cases = dict(verify.case_registry(family))
+    if family == "wentzell":
+        cases["quad-steps"] = _step_wentzell_case()
+    return cases
+
+
+def _case_args(family, case):
+    return case if family == "product-rule" else (case,)
+
+
 class TestSurvivingTerms:
     """Every Wick correction cancels the lower kernel of its trace term, so
     each residual keeps only Riemann sums and a half-cell compensator; the
@@ -103,14 +117,152 @@ class TestSurvivingTerms:
         ctx = PhiContext(HurstParameter(h))
         grid = TimeGrid.uniform(64, 1.0) if grid_name == "uniform" else _split_irregular_grid()
         w = ensemble_values("cholesky", grid, ctx.hurst, 7, 64)
-        cases = dict(verify.case_registry(family))
-        if family == "wentzell":
-            cases["quad-steps"] = _step_wentzell_case()
-        for name, case in cases.items():
+        for name, case in _cases(family).items():
             got = verify.residuals(family, case, w, ctx, grid)
-            want = _REFERENCES[family](*(case if family == "product-rule" else (case,)), w, ctx, grid)
+            want = _REFERENCES[family](*_case_args(family, case), w, ctx, grid)
             gap = np.abs(got - want).max()
             assert gap <= 1e-13 * max(1.0, np.abs(want).max()), f"{family}:{name} off by {gap:.3e}"
+
+
+def _recorded_coefficient_cases(family):
+    """Cases whose recorded coefficients differ from the ones they were
+    built with: padded, zero and constant polynomials."""
+    poly = CylinderFunction.polynomial
+    affine = verify.DriveSpec(x0=0.1, drift=0.2, diffusion=0.8, label="affine")
+    if family == "ito":
+        padded_tx2 = SpaceTimeFunction.polynomial([[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
+        return {
+            "padded-x1": verify.ItoCase(SpaceTimeFunction.from_cylinder(poly([0, 1, 0, 0]))),
+            "zero": verify.ItoCase(SpaceTimeFunction.from_cylinder(poly([0.0]))),
+            "padded-tx2-step": verify.ItoCase(padded_tx2, a=verify.halves(1.0)),
+        }
+    if family == "wentzell":
+        zero = poly([0.0])
+        return {
+            "padded-f0": verify.WentzellCase(poly([0, 1, 0, 0]), zero, zero, affine),
+            "zero": verify.WentzellCase(zero, zero, zero, affine),
+            "constant-h": verify.WentzellCase(poly([0, 0, 1]), zero, CylinderFunction.constant(1.5), affine),
+        }
+    return {}
+
+
+_POLYVAL = {
+    "ito": oracles.ito_residuals_polyval,
+    "product-rule": oracles.product_rule_residuals_polyval,
+    "wentzell": oracles.wentzell_residuals_polyval,
+}
+
+
+class TestDegreeAwareArithmetic:
+    """The residuals build only the factors that are not identically zero,
+    from the recorded coefficients; the generic polyval arithmetic builds
+    every factor over whole path matrices. They agree bit for bit wherever
+    no operation is reordered."""
+
+    # A number factor other than a power of two scales one row sum where
+    # the generic arithmetic sums the scaled row (w-const: 2.5, constant-h:
+    # 1.5), or the end value F_T(X_T) combines f0, g and h before Horner's
+    # rule where the generic arithmetic adds the three (quad, quad-steps,
+    # constant-h).
+    REORDERED = {
+        ("product-rule", "w-const"),
+        ("wentzell", "quad"),
+        ("wentzell", "quad-steps"),
+        ("wentzell", "constant-h"),
+    }
+
+    @pytest.mark.parametrize("h", HURSTS)
+    @pytest.mark.parametrize("grid_name", ["uniform", "irregular"])
+    @pytest.mark.parametrize("family", verify.RESIDUAL_NAMES)
+    def test_matches_polyval_arithmetic(self, family, grid_name, h):
+        ctx = PhiContext(HurstParameter(h))
+        grid = TimeGrid.uniform(64, 1.0) if grid_name == "uniform" else _split_irregular_grid()
+        w = ensemble_values("cholesky", grid, ctx.hurst, 7, 64)
+        cases = {**_cases(family), **_recorded_coefficient_cases(family)}
+        for name, case in cases.items():
+            got = verify.residuals(family, case, w, ctx, grid)
+            want = _POLYVAL[family](*_case_args(family, case), w, ctx, grid)
+            assert got.shape == want.shape
+            if (family, name) in self.REORDERED:
+                gap = np.abs(got - want).max()
+                assert gap <= 1e-13 * max(1.0, np.abs(want).max()), f"{family}:{name} off by {gap:.3e}"
+            else:
+                assert np.array_equal(got, want), f"{family}:{name} is not bit for bit"
+
+    @pytest.mark.parametrize(
+        "family, name, zeros",
+        [
+            ("wentzell", "xw", ("f0", "g")),
+            ("wentzell", "deterministic", ("g", "h")),
+            ("wentzell", "constant", ("g", "h")),
+            ("ito", "x1", ()),
+        ],
+    )
+    def test_zero_polynomial_is_never_evaluated(self, family, name, zeros):
+        def boom(*args):
+            raise AssertionError("a zero polynomial was evaluated")
+
+        ctx = PhiContext(HurstParameter(0.7))
+        grid = TimeGrid.uniform(32, 1.0)
+        w = ensemble_values("circulant", grid, ctx.hurst, 3, 16)
+        plain = verify.case_registry(family)[name]
+        if family == "ito":
+            # x1's second derivative is the zero polynomial
+            x1 = dataclasses.replace(CylinderFunction.monomial(1), deriv2=boom)
+            spied = dataclasses.replace(plain, f=SpaceTimeFunction.from_cylinder(x1))
+        else:
+            zero = dataclasses.replace(CylinderFunction.polynomial([0.0]), value=boom, deriv=boom, deriv2=boom)
+            spied = dataclasses.replace(plain, **{z: zero for z in zeros})
+        got = verify.residuals(family, spied, w, ctx, grid)
+        assert np.array_equal(got, verify.residuals(family, plain, w, ctx, grid))
+
+
+class TestRecordedCoefficients:
+    @pytest.mark.parametrize(
+        "fn, coeffs",
+        [
+            (CylinderFunction.polynomial([0, 1, 0, 0]), (0.0, 1.0)),
+            (CylinderFunction.polynomial([0.0]), ()),
+            (CylinderFunction.polynomial([0.0, 0.0]), ()),
+            (CylinderFunction.constant(1.5), (1.5,)),
+            (CylinderFunction.monomial(3), (0.0, 0.0, 0.0, 1.0)),
+            (CylinderFunction.exponential(0.5), None),
+            (CylinderFunction.sine(2.0), None),
+        ],
+    )
+    def test_cylinder_records_trimmed_coefficients(self, fn, coeffs):
+        assert fn.coeffs == coeffs
+
+    def test_field_records_time_major_trimmed_coefficients(self):
+        field = SpaceTimeFunction.polynomial([[1, 0, 0], [0, 0, 2], [0, 0, 0]])
+        assert field.coeffs == ((1.0,), (0.0, 0.0, 2.0))
+        assert field.time_dependent
+        flat = SpaceTimeFunction.polynomial([[0, 3, 0], [0, 0, 0]])
+        assert flat.coeffs == ((0.0, 3.0),) and not flat.time_dependent
+        assert SpaceTimeFunction.from_cylinder(CylinderFunction.monomial(2)).coeffs == ((0.0, 0.0, 1.0),)
+        assert SpaceTimeFunction.from_cylinder(CylinderFunction.polynomial([0.0])).coeffs == ()
+        assert SpaceTimeFunction.from_cylinder(CylinderFunction.sine(1.0)).coeffs is None
+
+    @pytest.mark.parametrize(
+        "coeff",
+        [
+            [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+            [[0.3, -1.0, 0.2], [0.1, 0.5, 1.0], [0.0, 0.0, 0.7]],
+            [[0.5, 0.0, 0.0, 0.0, 0.25]],
+        ],
+    )
+    def test_field_partials_are_polyval2d_on_the_broadcast(self, coeff):
+        # Horner's rule in x on the time polynomials evaluated once per
+        # time performs polyval2d's operations without the broadcast
+        pv2, pder = np.polynomial.polynomial.polyval2d, np.polynomial.polynomial.polyder
+        c = np.array(coeff)
+        field = SpaceTimeFunction.polynomial(c)
+        s = np.linspace(0.0, 1.0, 17)
+        x = np.random.default_rng(2).standard_normal((5, 17))
+        ss, xx = np.broadcast_arrays(s, x)
+        for fn, cc in ((field.value, c), (field.dx, pder(c, 1, axis=1)), (field.dxx, pder(c, 2, axis=1))):
+            assert np.array_equal(fn(s, x), pv2(ss, xx, cc))
+            assert np.array_equal(fn(0.7, x[:, 3]), pv2(np.full(5, 0.7), x[:, 3], cc))
 
 
 def _all_residuals(w, ctx, grid):
