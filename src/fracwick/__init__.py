@@ -16,6 +16,7 @@ from .errors import (
     NonConvergenceError,
     SingularCovarianceError,
     UnsupportedCaseError,
+    VarianceOverflowError,
 )
 from .fbm import (
     GENERATOR_NAMES,
@@ -78,6 +79,7 @@ __all__ = [
     "StepFunction",
     "TimeGrid",
     "UnsupportedCaseError",
+    "VarianceOverflowError",
     "WentzellCase",
     "convergence_study",
     "covariance_grid",

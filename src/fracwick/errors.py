@@ -31,6 +31,10 @@ class DriftBlowupError(FracwickError):
     """A solver produced a non-finite state value."""
 
 
+class VarianceOverflowError(FracwickError):
+    """A sample variance is too large for a float."""
+
+
 class NonConvergenceError(FracwickError):
     """Fixed-point iteration failed to reach tolerance within its budget."""
 

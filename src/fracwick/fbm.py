@@ -217,10 +217,13 @@ def ensemble_values(
     h: HurstParameter,
     master_seed: int,
     n_paths: int,
+    first: int = 0,
 ) -> np.ndarray:
-    """Matrix of n_paths trajectories (rows), replication i on stream i.
+    """Matrix of n_paths trajectories (rows), row i on stream first + i.
 
-    The only sampler; a single path is a one-row slice. Cholesky maps n
+    The only sampler; a single path is a one-row slice, and rows lo:hi of
+    an ensemble are the (hi - lo)-path ensemble at first = lo, so a caller
+    can draw an ensemble block by block. Cholesky maps n
     normals per stream through the covariance factor (any grid); circulant
     draws 2n per stream and hosking n, and both sum the resulting
     unit-spacing noise scaled by dt^H (uniform grids only). Circulant
@@ -229,7 +232,7 @@ def ensemble_values(
 
     Rows are drawn and transformed a block at a time (`_BLOCK_CELLS` output
     cells per block) and written straight into the result, so peak memory
-    is the result plus one block. Row i is drawn from stream i alone, so
+    is the result plus one block. Row i is drawn from its stream alone, so
     the first k rows of a larger ensemble are the k-path ensemble: bit for
     bit for circulant and hosking, which transform row by row, and to
     rounding for cholesky, whose matrix product may accumulate in an order
@@ -255,17 +258,22 @@ def ensemble_values(
             draws = n
     out = np.empty((n_paths, n + 1))
     out[:, 0] = 0.0
-    rows = max(1, _BLOCK_CELLS // (n + 1))
+    rows = block_rows(n + 1)
     z = np.empty((min(rows, n_paths), draws))
     for lo in range(0, n_paths, rows):
         hi = min(lo + rows, n_paths)
-        zb = standard_normal_rows(master_seed, lo, z[: hi - lo])
+        zb = standard_normal_rows(master_seed, first + lo, z[: hi - lo])
         if method == "cholesky":
             out[lo:hi, 1:] = zb @ chol_t
             continue
         noise = _circulant_fgn(lam, zb) if method == "circulant" else _hosking_fgn(phis, v, zb)
         np.cumsum(noise * step, axis=1, out=out[lo:hi, 1:])
     return out
+
+
+def block_rows(row_cells: int) -> int:
+    """Rows of row_cells cells each that fit the `_BLOCK_CELLS` budget."""
+    return max(1, _BLOCK_CELLS // row_cells)
 
 
 def _by_row_blocks(
@@ -282,7 +290,7 @@ def _by_row_blocks(
     long as 16 rows.
     """
     if rows is None:
-        rows = max(1, _BLOCK_CELLS // w.shape[1])
+        rows = block_rows(w.shape[1])
     blocks = [block_values(w[lo : lo + rows]) for lo in range(0, w.shape[0], rows)]
     return np.concatenate(blocks, axis=-1)
 

@@ -20,6 +20,12 @@ Z_THRESHOLD = 4.0
 # last bit; gaps below this relative level count as exact.
 EXACT_REL_TOL = 1e-12
 
+# Fourth powers of deviations overflow beyond about 2**255. Larger samples
+# have their moments taken in units of a power of two, which is exact;
+# smaller ones keep the plain formulas, because numpy's x**4 (libm's pow)
+# is not exactly scale-invariant and their bits would move.
+_SCALE_ABOVE = 2.0**128
+
 
 def fsum(values: np.ndarray) -> float:
     """Exactly-rounded sum; result independent of accumulation order."""
@@ -54,6 +60,10 @@ def variance_stderr(values: np.ndarray) -> float:
     would make any gap infinitely significant. There the plug-in of the
     exact variance of s^2, (m4 - s^4 (m - 3)/(m - 1))/m, is used; it is
     positive for every non-constant sample.
+
+    Deviations above _SCALE_ABOVE are first divided by the power of two
+    just above the largest of them, so the fourth powers stay finite
+    wherever the stderr itself is.
     """
     v = np.asarray(values, dtype=float).ravel()
     m = v.size
@@ -61,12 +71,15 @@ def variance_stderr(values: np.ndarray) -> float:
         raise ValueError("need at least two samples")
     mu = fmean(v)
     centered = v - mu
+    top = float(np.max(np.abs(centered)))
+    scale = math.ldexp(1.0, math.frexp(top)[1]) if top > _SCALE_ABOVE else 1.0
+    centered /= scale
     s2 = fsum(centered**2) / (m - 1)
     m4 = fsum(centered**4) / m
     var = m4 - s2 * s2
     if var <= 0.0:
         var = max(m4 - s2 * s2 * (m - 3) / (m - 1), 0.0)
-    return math.sqrt(var / m)
+    return scale * scale * math.sqrt(var / m)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,16 @@ Y = X - sigma * W. Solvers integrate that ODE on the path grid; the noise
 is only ever evaluated at nodes (plus linearly interpolated half-nodes for
 the RK4 stages).
 
-Every solver takes the whole ensemble, a (paths x nodes) noise matrix, and
-steps or iterates all rows at once; one path is a one-row matrix. Row p of
-the solution depends only on row p of the noise, bit for bit for the
-stepping solvers; Picard stops on the largest delta over all rows, so a
-row's solution moves with the ensemble only below tol.
+Every solver takes a batch of paths and steps or iterates all of them at
+once; one path is a batch of one. The stepping solvers (flow-euler,
+flow-rk4, direct-euler) run on time-major noise, one row per node, so a
+step reads and writes contiguous rows, and a path's solution depends only
+on that path's noise, bit for bit. Picard iterates a (paths x nodes) block
+and stops each slab on the largest delta over the block's rows, so below
+tol a path's solution depends on the paths it shares a block with.
+`sde_mc_stats` solves an ensemble over a partition into row blocks that
+the grid alone fixes (`fbm.block_rows`): a path's solution depends on
+that partition, never on the thread count.
 """
 from __future__ import annotations
 
@@ -20,11 +25,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DriftBlowupError, NonConvergenceError
-from .fbm import fgn_autocovariance
+from .errors import DriftBlowupError, NonConvergenceError, VarianceOverflowError
+from .fbm import HurstParameter, block_rows, ensemble_values, fgn_autocovariance
 from .grids import TimeGrid
 from .mc import MonteCarloReport, fmean, variance_stderr
 from .phicalc import PhiContext
+from .pool import run_tasks
 
 SOLVER_NAMES = ("flow-euler", "flow-rk4", "direct-euler", "picard")
 
@@ -44,10 +50,10 @@ class SdeSpec:
     """dX = b(t, X) dt + sigma dW with declared regularity constants.
 
     The drift callable must be vectorized in t and x: the stepping solvers
-    pass a scalar t and one column of states, Picard passes t as a
-    (1, nodes) row against a (paths, nodes) matrix of states. lipschitz is
-    declared by the caller, never inferred; Picard sizes its slabs and its
-    iteration budget from it.
+    pass a scalar t and the states of every path at one node, Picard
+    passes t as a (1, nodes) row against a (paths, nodes) matrix of
+    states. lipschitz is declared by the caller, never inferred; Picard
+    sizes its slabs and its iteration budget from it.
     """
 
     drift: Callable[[float, np.ndarray], np.ndarray]
@@ -96,47 +102,64 @@ def _check_finite(arr: np.ndarray, solver: str, step: int) -> None:
 
 def _flow_euler_core(spec: SdeSpec, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     y = np.empty_like(w)
-    y[:, 0] = spec.x0
+    y[0] = spec.x0
     for k in range(t.size - 1):
         dt = t[k + 1] - t[k]
-        rate = spec.drift(t[k], y[:, k] + spec.sigma * w[:, k])
-        y[:, k + 1] = y[:, k] + dt * np.asarray(rate)
-        _check_finite(y[:, k + 1], "flow-euler", k + 1)
+        rate = spec.drift(t[k], y[k] + spec.sigma * w[k])
+        y[k + 1] = y[k] + dt * np.asarray(rate)
+        _check_finite(y[k + 1], "flow-euler", k + 1)
     return y
 
 
 def _flow_rk4_core(spec: SdeSpec, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Classic RK4 on the random ODE; W at half-nodes by linear interpolation."""
     y = np.empty_like(w)
-    y[:, 0] = spec.x0
+    y[0] = spec.x0
     s = spec.sigma
     b = spec.drift
     for k in range(t.size - 1):
         dt = t[k + 1] - t[k]
         tk, tm, tn = t[k], t[k] + 0.5 * dt, t[k + 1]
-        wk = w[:, k]
-        wn = w[:, k + 1]
+        wk = w[k]
+        wn = w[k + 1]
         wm = 0.5 * (wk + wn)
-        yk = y[:, k]
+        yk = y[k]
         k1 = np.asarray(b(tk, yk + s * wk))
         k2 = np.asarray(b(tm, yk + 0.5 * dt * k1 + s * wm))
         k3 = np.asarray(b(tm, yk + 0.5 * dt * k2 + s * wm))
         k4 = np.asarray(b(tn, yk + dt * k3 + s * wn))
-        y[:, k + 1] = yk + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(y[:, k + 1], "flow-rk4", k + 1)
+        y[k + 1] = yk + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _check_finite(y[k + 1], "flow-rk4", k + 1)
     return y
 
 
 def _direct_euler_core(spec: SdeSpec, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     x = np.empty_like(w)
-    x[:, 0] = spec.x0
-    dw = np.diff(w, axis=1)
+    x[0] = spec.x0
     for k in range(t.size - 1):
         dt = t[k + 1] - t[k]
-        rate = np.asarray(spec.drift(t[k], x[:, k]))
-        x[:, k + 1] = x[:, k] + dt * rate + spec.sigma * dw[:, k]
-        _check_finite(x[:, k + 1], "direct-euler", k + 1)
+        rate = np.asarray(spec.drift(t[k], x[k]))
+        x[k + 1] = x[k] + dt * rate + spec.sigma * (w[k + 1] - w[k])
+        _check_finite(x[k + 1], "direct-euler", k + 1)
     return x
+
+
+# The stepping solvers. Each core takes time-major noise, row k holding
+# every path's W at node k, so a step reads and writes contiguous rows; it
+# returns Y = X - sigma W for the flow solvers and X for direct-euler.
+_STEPPERS = {
+    "flow-euler": _flow_euler_core,
+    "flow-rk4": _flow_rk4_core,
+    "direct-euler": _direct_euler_core,
+}
+
+
+def _x_and_y(solver: str, sigma: float, z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y from the output z of a stepping core and the noise w at the
+    same entries, in either layout."""
+    if solver == "direct-euler":
+        return z, z - sigma * w
+    return z + sigma * w, z
 
 
 def solve_picard(spec: SdeSpec, grid: TimeGrid, w: np.ndarray, tol: float) -> SolverResult:
@@ -150,6 +173,11 @@ def solve_picard(spec: SdeSpec, grid: TimeGrid, w: np.ndarray, tol: float) -> So
     small margin, is the budget. A slab also stops once delta is at the
     rounding floor of the map, a few ulps of max|y| amplified by
     1 / (1 - q), below which no tol can be met.
+
+    All rows of w iterate together, and a slab stops on the largest delta
+    over them, so a row's solution depends, below tol, on the rows it is
+    solved with. `sde_mc_stats` calls it once per row block of a fixed
+    partition, which no thread count changes.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -215,20 +243,17 @@ def solve_picard(spec: SdeSpec, grid: TimeGrid, w: np.ndarray, tol: float) -> So
 
 
 def solve(spec: SdeSpec, grid: TimeGrid, w: np.ndarray, solver: str, tol: float = 1e-10) -> SolverResult:
-    """Solve the equation along every row of the noise matrix w on grid."""
-    t = grid.points
-    if solver == "flow-euler":
-        y = _flow_euler_core(spec, t, w)
-        return SolverResult(y + spec.sigma * w, y)
-    if solver == "flow-rk4":
-        y = _flow_rk4_core(spec, t, w)
-        return SolverResult(y + spec.sigma * w, y)
-    if solver == "direct-euler":
-        x = _direct_euler_core(spec, t, w)
-        return SolverResult(x, x - spec.sigma * w)
+    """Solve the equation along every row of the noise matrix w on grid.
+
+    The stepping solvers run on the time-major transpose of w; the result
+    has w's layout, one row per path.
+    """
     if solver == "picard":
         return solve_picard(spec, grid, w, tol)
-    raise ValueError(f"unknown solver {solver!r}; pick one of {SOLVER_NAMES}")
+    if solver not in _STEPPERS:
+        raise ValueError(f"unknown solver {solver!r}; pick one of {SOLVER_NAMES}")
+    z = _STEPPERS[solver](spec, grid.points, np.ascontiguousarray(w.T)).T
+    return SolverResult(*_x_and_y(solver, spec.sigma, z, w))
 
 
 # ---------------------------------------------------------------------------
@@ -274,34 +299,77 @@ def fou_oracle(
 def sde_mc_stats(
     spec: SdeSpec,
     grid: TimeGrid,
-    w: np.ndarray,
+    h: HurstParameter,
+    master_seed: int,
+    n_paths: int,
     checkpoints: np.ndarray,
     oracle: tuple[np.ndarray, np.ndarray],
     solver: str = "flow-rk4",
     tol: float = 1e-10,
-) -> tuple[list[MonteCarloReport], SolverResult]:
-    """Solve along every row of w, then test the ensemble mean and variance
-    at the checkpoints against a supplied oracle. Returns the reports and
-    the solution."""
+) -> tuple[list[MonteCarloReport], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Sample the n_paths-row circulant ensemble, solve along every row, and
+    test the ensemble mean and variance at the checkpoints against a
+    supplied oracle. Returns the reports and the nodes of X, Y and W on
+    row 0, the stream-0 path.
+
+    Rows are drawn on the worker pool in blocks of `block_rows` rows, a
+    partition fixed by the grid alone. Picard solves each block in the
+    task that drew it and keeps only X at the checkpoints, so its memory
+    is a few blocks. The stepping solvers write the blocks into one
+    time-major noise array and step every path at once: a step costs the
+    same few numpy calls whatever its width, so narrow blocks would
+    multiply that Python cost, and threads stepping side by side would
+    queue on the interpreter lock.
+    """
     cps = np.asarray(checkpoints, dtype=float)
     means_oracle, vars_oracle = oracle
     if cps.shape != np.shape(means_oracle) or cps.shape != np.shape(vars_oracle):
         raise ValueError("oracle curves must align with the checkpoints")
+    if solver != "picard" and solver not in _STEPPERS:
+        raise ValueError(f"unknown solver {solver!r}; pick one of {SOLVER_NAMES}")
     idx = []
     for t in cps:
         j = int(np.searchsorted(grid.points, t))
         if j >= grid.points.size or grid.points[j] != t:
             raise ValueError(f"checkpoint t = {t} is not a grid point")
         idx.append(j)
-    result = solve(spec, grid, w, solver, tol)
+    nodes = grid.points.size
+    rows = block_rows(nodes)
+    blocks = [(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
+
+    def draw(lo: int, hi: int) -> np.ndarray:
+        return ensemble_values("circulant", grid, h, master_seed, hi - lo, first=lo)
+
+    if solver == "picard":
+
+        def picard_block(lo: int, hi: int):
+            w = draw(lo, hi)
+            result = solve_picard(spec, grid, w, tol)
+            return result.x[:, idx], (result.x[0], result.y[0], w[0]) if lo == 0 else None
+
+        parts = run_tasks([lambda lo=lo, hi=hi: picard_block(lo, hi) for lo, hi in blocks])
+        x_cps = np.concatenate([x for x, _ in parts]).T
+        path0 = parts[0][1]
+    else:
+        w = np.empty((nodes, n_paths))
+
+        def fill(lo: int, hi: int) -> None:
+            w[:, lo:hi] = draw(lo, hi).T
+
+        run_tasks([lambda lo=lo, hi=hi: fill(lo, hi) for lo, hi in blocks])
+        z = _STEPPERS[solver](spec, grid.points, w)
+        x_cps, _ = _x_and_y(solver, spec.sigma, z[idx], w[idx])
+        # copies, so that the (nodes x paths) arrays die on return
+        w0 = w[:, 0].copy()
+        path0 = (*_x_and_y(solver, spec.sigma, z[:, 0].copy(), w0), w0)
     reports = []
-    for j, t, mu, var in zip(idx, cps, means_oracle, vars_oracle):
-        samples = result.x[:, j]
-        reports.append(
-            MonteCarloReport.from_samples(f"mean@t={t:g}", samples, float(mu))
-        )
+    for samples, t, mu, var in zip(x_cps, cps, means_oracle, vars_oracle):
         centered = samples - fmean(samples)
-        s2 = float(np.sum(centered**2)) / (samples.size - 1)
+        with np.errstate(over="ignore"):
+            s2 = float(np.sum(centered**2)) / (samples.size - 1)
+        if not math.isfinite(s2):
+            raise VarianceOverflowError(f"the sample variance of X at t={t:g} overflows a float")
+        reports.append(MonteCarloReport.from_samples(f"mean@t={t:g}", samples, float(mu)))
         reports.append(
             MonteCarloReport.build(
                 f"variance@t={t:g}",
@@ -311,4 +379,4 @@ def sde_mc_stats(
                 samples.size,
             )
         )
-    return reports, result
+    return reports, path0

@@ -9,7 +9,10 @@ cap and library versions and is the one file excluded from that guarantee.
 verify-ito, verify-product-rule, verify-wentzell, girsanov and isometry
 share one runner: it samples one circulant ensemble and runs the suite's
 list of checks, thunks that each reduce it to a MonteCarloReport, on the
-worker pool; the report rows keep the order of the list.
+worker pool; the report rows keep the order of the list. solve-sde hands
+sampling and solving to `sde.sde_mc_stats`, whose unit of work on the pool
+is a row block of a partition fixed by the grid, so its artifacts too
+keep their bytes whatever the thread count.
 """
 from __future__ import annotations
 
@@ -20,18 +23,18 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__, svgplot
 from .config import ExperimentConfig
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError, GridMismatchError, VarianceOverflowError
 from .fbm import HurstParameter, empirical_covariance, ensemble_values
 from .grids import TimeGrid, format_float, write_ensemble_csv
 from .mc import MonteCarloReport
 from .phicalc import PhiContext
+from .pool import run_tasks, thread_count
 from .sde import fou_oracle, make_fou, sde_mc_stats
 from .stepfn import StepFunction
 from .verify import (
@@ -60,29 +63,6 @@ REPORT_HEADER = [
 
 # How many paths land in the ensemble CSV; statistics always use them all.
 _MAX_CSV_PATHS = 64
-
-
-def thread_count() -> int:
-    """Worker cap from FRACWICK_THREADS, defaulting to min(4, cpu count)."""
-    raw = os.environ.get("FRACWICK_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError(f"FRACWICK_THREADS must be an integer, got {raw!r}")
-        if n < 1:
-            raise ConfigError("FRACWICK_THREADS must be at least 1")
-        return n
-    return min(4, os.cpu_count() or 1)
-
-
-def _run_tasks(tasks):
-    """Run thunks on the worker pool; results keep submission order."""
-    if len(tasks) <= 1:
-        return [fn() for fn in tasks]
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        futures = [pool.submit(fn) for fn in tasks]
-        return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -173,7 +153,7 @@ def _suite_generate(cfg: ExperimentConfig, outdir: str):
             artifacts.append(svg_name)
         return rows, artifacts
 
-    results = _run_tasks([lambda g=g: one(g) for g in cfg.generators])
+    results = run_tasks([lambda g=g: one(g) for g in cfg.generators])
     rows = [r for rs, _ in results for r in rs]
     artifacts = [a for _, arts in results for a in arts]
     return rows, artifacts
@@ -235,7 +215,7 @@ def _shared_ensemble_suite(checks):
         h = HurstParameter(cfg.hurst)
         grid = TimeGrid.uniform(cfg.grid_n, cfg.horizon)
         w = ensemble_values("circulant", grid, h, cfg.master_seed, cfg.n_paths)
-        reports = _run_tasks(checks(cfg, PhiContext(h), grid, w))
+        reports = run_tasks(checks(cfg, PhiContext(h), grid, w))
         return [(cfg.grid_n, r) for r in reports], []
 
     return run
@@ -255,12 +235,15 @@ def _suite_solve_sde(cfg: ExperimentConfig, outdir: str):
     spec = make_fou(cfg.sde.lam, cfg.sde.sigma, cfg.sde.x0)
     cps = np.asarray(cfg.checkpoints, dtype=float)
     oracle = fou_oracle(cfg.sde.lam, cfg.sde.sigma, cfg.sde.x0, cps, ctx)
-    w = ensemble_values("circulant", grid, h, cfg.master_seed, cfg.n_paths)
-    reports, result = sde_mc_stats(spec, grid, w, cps, oracle, solver=cfg.solver, tol=cfg.tol)
+    try:
+        reports, path0 = sde_mc_stats(
+            spec, grid, h, cfg.master_seed, cfg.n_paths, cps, oracle, solver=cfg.solver, tol=cfg.tol
+        )
+    except VarianceOverflowError as exc:
+        raise ConfigError(f"sde.sigma = {cfg.sde.sigma:g} is too large: {exc}") from exc
     rows = [(cfg.grid_n, r) for r in reports]
-    # row 0 of the ensemble is the stream-0 path
     csv_name = "solution_stream0.csv"
-    _write_solution_csv(os.path.join(outdir, csv_name), grid.points, result.x[0], result.y[0], w[0])
+    _write_solution_csv(os.path.join(outdir, csv_name), grid.points, *path0)
     return rows, [csv_name]
 
 

@@ -300,6 +300,53 @@ def trapezoid_linear_drift(
     return y + sigma * w
 
 
+def flow_euler_row_major(spec, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Y = X - sigma W of the flow Euler scheme, stepping the strided
+    columns of a (paths x nodes) noise matrix."""
+    y = np.empty_like(w)
+    y[:, 0] = spec.x0
+    for k in range(t.size - 1):
+        dt = t[k + 1] - t[k]
+        rate = spec.drift(t[k], y[:, k] + spec.sigma * w[:, k])
+        y[:, k + 1] = y[:, k] + dt * np.asarray(rate)
+    return y
+
+
+def flow_rk4_row_major(spec, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Y of classic RK4 on the random ODE, W at half-nodes by linear
+    interpolation, on a (paths x nodes) noise matrix."""
+    y = np.empty_like(w)
+    y[:, 0] = spec.x0
+    s = spec.sigma
+    b = spec.drift
+    for k in range(t.size - 1):
+        dt = t[k + 1] - t[k]
+        tk, tm, tn = t[k], t[k] + 0.5 * dt, t[k + 1]
+        wk = w[:, k]
+        wn = w[:, k + 1]
+        wm = 0.5 * (wk + wn)
+        yk = y[:, k]
+        k1 = np.asarray(b(tk, yk + s * wk))
+        k2 = np.asarray(b(tm, yk + 0.5 * dt * k1 + s * wm))
+        k3 = np.asarray(b(tm, yk + 0.5 * dt * k2 + s * wm))
+        k4 = np.asarray(b(tn, yk + dt * k3 + s * wn))
+        y[:, k + 1] = yk + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def direct_euler_row_major(spec, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X of the Euler scheme on the equation itself, on a (paths x nodes)
+    noise matrix."""
+    x = np.empty_like(w)
+    x[:, 0] = spec.x0
+    dw = np.diff(w, axis=1)
+    for k in range(t.size - 1):
+        dt = t[k + 1] - t[k]
+        rate = np.asarray(spec.drift(t[k], x[:, k]))
+        x[:, k + 1] = x[:, k] + dt * rate + spec.sigma * dw[:, k]
+    return x
+
+
 def linear_drift_piecewise_linear_noise(
     lam: float, sigma: float, x0: float, knots: np.ndarray, w_knots: np.ndarray
 ) -> np.ndarray:

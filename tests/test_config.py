@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from fracwick import cli, suites, verify
+from fracwick import cli, sde, suites, verify
 
 
 def _run(tmp_path, suite, text):
@@ -136,9 +136,10 @@ def _no_draws(monkeypatch):
         raise AssertionError("the ensemble was sampled before the cases were checked")
 
     # the shared-ensemble suites sample through suites, converge's ladder
-    # through verify
+    # through verify, solve-sde through sde
     monkeypatch.setattr(suites, "ensemble_values", no_draws)
     monkeypatch.setattr(verify, "ensemble_values", no_draws)
+    monkeypatch.setattr(sde, "ensemble_values", no_draws)
 
 
 @pytest.mark.parametrize("suite", ["verify-ito", "verify-wentzell", "girsanov", "converge"])

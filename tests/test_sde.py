@@ -1,5 +1,8 @@
 """Solvers against closed-form and cross-solver oracles, Picard's budget,
-and the linear-drift moment oracle against an incomplete-gamma route."""
+the row-block partition of an ensemble solve, and the linear-drift moment
+oracle against an incomplete-gamma route."""
+
+import csv
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from fracwick import (
     make_fou,
     phi_norm_sq,
 )
-from fracwick import cli, sde
+from fracwick import cli, fbm, sde, suites
 from fracwick.mc import variance_stderr
 from fracwick.sde import SOLVER_NAMES, solve, solve_picard
 
@@ -40,6 +43,30 @@ def test_flow_euler_equals_direct_euler_for_nonlinear_drift():
     flow = solve(spec, grid, w, "flow-euler").x
     direct = solve(spec, grid, w, "direct-euler").x
     assert np.max(np.abs(flow - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+ROW_MAJOR_REFERENCES = {
+    "flow-euler": oracles.flow_euler_row_major,
+    "flow-rk4": oracles.flow_rk4_row_major,
+    "direct-euler": oracles.direct_euler_row_major,
+}
+
+
+@pytest.mark.parametrize("solver", sorted(ROW_MAJOR_REFERENCES))
+def test_time_major_cores_match_row_major_reference_bitwise(solver):
+    # same arithmetic on contiguous node rows as on strided path columns;
+    # the drift is nonlinear in x and depends on t
+    spec = SdeSpec(
+        drift=lambda t, x: np.sin(x) * (1.0 + t) - x * x * x, sigma=0.7, x0=0.3, lipschitz=3.0
+    )
+    grid, w = _noise(128, 24, 4)
+    want = ROW_MAJOR_REFERENCES[solver](spec, grid.points, w)
+    got = sde._STEPPERS[solver](spec, grid.points, np.ascontiguousarray(w.T))
+    np.testing.assert_array_equal(got.T, want)
+    result = solve(spec, grid, w, solver)
+    direct = solver == "direct-euler"
+    np.testing.assert_array_equal(result.x, want if direct else want + spec.sigma * w)
+    np.testing.assert_array_equal(result.y, want - spec.sigma * w if direct else want)
 
 
 def test_picard_matches_closed_form_trapezoid_for_linear_drift():
@@ -82,7 +109,8 @@ def test_row_zero_of_an_ensemble_is_the_one_row_solve(solver):
     one = solve(spec, grid, w[:1], solver, tol)
     assert many.x.shape == w.shape and one.x.shape == (1, w.shape[1])
     if solver == "picard":
-        # Picard stops on the largest delta over all rows
+        # each Picard slab stops on the largest delta over the rows solved
+        # together, so the one-row solve may stop sooner, below tol
         assert np.max(np.abs(many.x[0] - one.x[0])) <= tol
         assert np.max(np.abs(many.y[0] - one.y[0])) <= tol
     else:
@@ -113,6 +141,91 @@ def test_solve_sde_solves_the_ensemble_once_at_the_config_tol(tmp_path, monkeypa
     cfg_path.write_text(yaml.safe_dump({"solver": "picard", "grid_n": 16, "n_paths": 8, "tol": 1e-6}))
     assert cli.main(["solve-sde", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert calls == [(8, 1e-6)]
+
+
+# grid_n 256 puts block_rows(257) = 255 paths in a row block, so 600 paths
+# make three blocks, the last one short
+BLOCKS_CFG = {"grid_n": 256, "n_paths": 600, "master_seed": 5, "checkpoints": [0.5, 1.0], "tol": 1e-10}
+
+
+def _solve_sde(tmp_path, name, cfg):
+    cfg_path = tmp_path / f"{name}.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    return cli.main(["solve-sde", "--config", str(cfg_path), "--out", str(tmp_path / name)])
+
+
+@pytest.mark.parametrize("solver", ["picard", "flow-rk4"])
+def test_row_block_partition_keeps_bytes_across_thread_counts(tmp_path, monkeypatch, solver):
+    assert BLOCKS_CFG["n_paths"] > 2 * fbm.block_rows(BLOCKS_CFG["grid_n"] + 1)
+    cfg = dict(BLOCKS_CFG, solver=solver)
+    blocks = {}
+    original = sde.solve_picard
+
+    def spy(spec, grid, w, tol):
+        blocks[threads].append(w.shape[0])
+        return original(spec, grid, w, tol)
+
+    monkeypatch.setattr(sde, "solve_picard", spy)
+    for threads in ("1", "4"):
+        blocks[threads] = []
+        monkeypatch.setenv("FRACWICK_THREADS", threads)
+        assert _solve_sde(tmp_path, threads, cfg) == 0
+    for name in ("report.csv", "solution_stream0.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "4" / name).read_bytes(), name
+    # the grid alone fixes Picard's blocks
+    want = [255, 255, 90] if solver == "picard" else []
+    assert sorted(blocks["1"], reverse=True) == sorted(blocks["4"], reverse=True) == want
+
+
+def test_picard_by_blocks_is_within_tol_of_one_whole_ensemble_solve(tmp_path):
+    cfg = dict(BLOCKS_CFG, solver="picard")
+    assert _solve_sde(tmp_path, "out", cfg) == 0
+    with open(tmp_path / "out" / "report.csv", newline="") as fh:
+        got = {row["test_name"]: float(row["estimate"]) for row in csv.DictReader(fh)}
+    grid = TimeGrid.uniform(cfg["grid_n"], 1.0)
+    w = ensemble_values("circulant", grid, H, cfg["master_seed"], cfg["n_paths"])
+    whole = solve_picard(make_fou(1.0, 1.0, 1.0), grid, w, cfg["tol"])
+    for t in cfg["checkpoints"]:
+        samples = whole.x[:, int(np.searchsorted(grid.points, t))]
+        assert abs(got[f"mean@t={t:g}"] - samples.mean()) <= cfg["tol"]
+        assert abs(got[f"variance@t={t:g}"] - samples.var(ddof=1)) <= cfg["tol"]
+
+
+@pytest.mark.parametrize("solver", ["picard", "flow-rk4"])
+def test_drift_blowup_in_a_worker_block_exits_1_naming_the_solver(tmp_path, capsys, monkeypatch, solver):
+    # dx = x^2 dt from x0 = 2 explodes at t = 1/2; both solvers overflow,
+    # Picard inside the worker tasks that solve its blocks
+    def square(t, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return x * x
+
+    def riccati(lam, sigma, x0):
+        return SdeSpec(drift=square, sigma=sigma, x0=2.0, lipschitz=1.0)
+
+    monkeypatch.setattr(suites, "make_fou", riccati)
+    monkeypatch.setenv("FRACWICK_THREADS", "2")
+    assert _solve_sde(tmp_path, "out", dict(BLOCKS_CFG, solver=solver)) == 1
+    err = capsys.readouterr().err
+    assert f"DriftBlowupError: {solver} produced a non-finite value" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("solver", SOLVER_NAMES)
+@pytest.mark.parametrize("sigma", [1.0e80, 1.0e200])
+def test_large_sigma_runs_or_exits_2_naming_the_key(tmp_path, capsys, solver, sigma):
+    # at 1e80 the fourth powers of the deviations overflow, the stderr does
+    # not; at 1e200 the sample variance itself is past the float range
+    cfg = {"solver": solver, "grid_n": 16, "n_paths": 8, "sde": {"sigma": sigma}}
+    code = _solve_sde(tmp_path, "out", cfg)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if sigma == 1.0e80:
+        assert code == 0
+        with open(tmp_path / "out" / "report.csv", newline="") as fh:
+            assert all(np.isfinite(float(row["stderr"])) for row in csv.DictReader(fh))
+    else:
+        assert code == 2
+        assert "config error" in err and "sde.sigma" in err
 
 
 def test_picard_refuses_a_slab_that_need_not_contract():
@@ -149,6 +262,12 @@ def test_variance_stderr_is_positive_in_small_samples():
     c = x - x.mean()
     s2 = np.sum(c**2) / 1999
     assert variance_stderr(x) == pytest.approx(np.sqrt((np.mean(c**4) - s2 * s2) / 2000), rel=1e-12)
+
+
+def test_variance_stderr_scales_past_fourth_power_overflow():
+    # (1e80)^4 overflows; the stderr of the scaled sample is 1e160 times
+    x = np.random.default_rng(9).normal(size=500)
+    assert variance_stderr(x * 1e80) == pytest.approx(variance_stderr(x) * 1e160, rel=1e-13)
 
 
 # The step projection (2048 cells) is the oracle's only approximation. Its
