@@ -1,14 +1,19 @@
 """Experiment configuration: YAML in, validated dataclass out.
 
-Validation is strict: unknown keys at any nesting level raise ConfigError,
-as do wrong types or out-of-range values. An unrecognized key is almost
-always a typo of a recognized one, and silently ignoring it would run a
-different experiment than the one the user wrote down.
+The annotations of ExperimentConfig and SdeBlock are the schema: each key's
+type is stated there once, and one checker reads them. ExperimentConfig's
+docstring lists the keys each suite takes. Every setup check runs here,
+before any draw. Validation is strict: unknown keys at any nesting level
+raise ConfigError, as do wrong types or out-of-range values. An
+unrecognized key is almost always a typo of a recognized one, and silently
+ignoring it would run a different experiment than the one the user wrote
+down.
 """
 from __future__ import annotations
 
 import math
 import re
+import typing
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -16,20 +21,10 @@ import yaml
 
 from .errors import ConfigError
 from .fbm import GENERATOR_NAMES
+from .grids import TimeGrid
 from .sde import SOLVER_NAMES
 from .verify import RESIDUAL_NAMES, case_registry, girsanov_case_registry, ladder_sizes
 from .wick import MAX_NORM_SQ
-
-SUITE_NAMES = (
-    "generate",
-    "verify-ito",
-    "verify-product-rule",
-    "verify-wentzell",
-    "girsanov",
-    "isometry",
-    "solve-sde",
-    "converge",
-)
 
 # The largest power of the horizon a suite forms: fBm scales as T^H, the
 # isometry check's S for h(x) = x^2 as T^3H, its per-path S^2 as T^6H, and
@@ -38,54 +33,6 @@ SUITE_NAMES = (
 # the tails of a degree-12 Gaussian polynomial.
 _HORIZON_POWER = 12
 _MAX_HORIZON_POWER = 1e290
-
-# key -> (python type, brief description); bool checked before int since
-# bool is an int subclass in Python.
-_COMMON_KEYS = {
-    "suite": (str, "suite name"),
-    "hurst": (float, "Hurst exponent in (0, 1)"),
-    "horizon": (float, "time horizon T > 0"),
-    "master_seed": (int, "master seed, 0 <= seed < 2**64"),
-    "output_dir": (str, "artifact directory"),
-    "plots": (bool, "emit SVG plots"),
-    "n_paths": (int, "ensemble size"),
-    "grid_n": (int, "number of grid cells"),
-}
-
-_SUITE_EXTRA = {
-    "generate": {"generators": (list, "generator names")},
-    "verify-ito": {"cases": (list, "case names")},
-    "verify-product-rule": {},
-    "verify-wentzell": {"cases": (list, "case names")},
-    "girsanov": {"cases": (list, "case names")},
-    "isometry": {},
-    "solve-sde": {
-        "sde": (dict, "equation block"),
-        "solver": (str, "solver name"),
-        "checkpoints": (list, "report times"),
-        "tol": (float, "picard tolerance"),
-    },
-    "converge": {
-        "residual": (str, "residual family"),
-        "case": (str, "case name"),
-        "grid_sizes": (list, "grid ladder"),
-    },
-}
-
-# The registry whose names the `cases` key of each suite that has it may
-# list, as a function of the horizon.
-_CASES_OF_SUITE = {
-    "verify-ito": lambda horizon: case_registry("ito", horizon),
-    "verify-wentzell": lambda horizon: case_registry("wentzell", horizon),
-    "girsanov": girsanov_case_registry,
-}
-
-_SDE_KEYS = {
-    "kind": (str, "equation kind"),
-    "lam": (float, "mean-reversion rate"),
-    "sigma": (float, "noise amplitude"),
-    "x0": (float, "initial value"),
-}
 
 
 @dataclass(frozen=True)
@@ -98,6 +45,15 @@ class SdeBlock:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; the annotations are the schema of its YAML keys.
+
+    Every suite takes suite, hurst, horizon, master_seed, output_dir, plots,
+    n_paths and grid_n. Besides these, generate takes generators;
+    verify-ito, verify-wentzell and girsanov take cases; solve-sde takes
+    sde, solver, checkpoints and tol; converge takes residual, case and
+    grid_sizes. A key a suite does not take is refused.
+    """
+
     suite: str
     hurst: float = 0.7
     horizon: float = 1.0
@@ -117,97 +73,90 @@ class ExperimentConfig:
     grid_sizes: tuple[int, ...] = (32, 64, 128, 256)
 
 
-def _type_name(tp: type) -> str:
-    return {float: "a number", int: "an integer", str: "a string", bool: "a boolean", list: "a list", dict: "a mapping"}[tp]
+# The keys each suite takes besides the common ones, which are the fields
+# of ExperimentConfig that no suite lists here.
+_SUITE_KEYS = {
+    "generate": ("generators",),
+    "verify-ito": ("cases",),
+    "verify-product-rule": (),
+    "verify-wentzell": ("cases",),
+    "girsanov": ("cases",),
+    "isometry": (),
+    "solve-sde": ("sde", "solver", "checkpoints", "tol"),
+    "converge": ("residual", "case", "grid_sizes"),
+}
+SUITE_NAMES = tuple(_SUITE_KEYS)
+
+# The registry whose names the `cases` key of each suite that has it may
+# list, as a function of the horizon.
+_CASES_OF_SUITE = {
+    "verify-ito": lambda horizon: case_registry("ito", horizon),
+    "verify-wentzell": lambda horizon: case_registry("wentzell", horizon),
+    "girsanov": girsanov_case_registry,
+}
+
+_HINTS = {cls: typing.get_type_hints(cls) for cls in (ExperimentConfig, SdeBlock)}
+_COMMON = set(_HINTS[ExperimentConfig]) - {key for keys in _SUITE_KEYS.values() for key in keys}
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", bool: "a boolean"}
 
 
-def _check_type(key: str, value: Any, tp: type) -> Any:
-    if tp is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"key '{key}' must be a boolean, got {value!r}")
-        return value
-    if isinstance(value, bool):
-        raise ConfigError(f"key '{key}' must be {_type_name(tp)}, got a boolean")
-    if tp is float:
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"key '{key}' must be a number, got {value!r}")
-        return float(value)
-    if not isinstance(value, tp):
-        raise ConfigError(f"key '{key}' must be {_type_name(tp)}, got {value!r}")
-    return value
-
-
-def _scalar_list(key: str, value: list, tp: type) -> tuple:
-    """The entries of a list key, each checked for type. Every list key
-    names a set (generators, cases, report times, ladder rungs), so an entry
-    given twice would run or report the same thing twice: refused."""
-    out = tuple(_check_type(f"{key}[{i}]", item, tp) for i, item in enumerate(value))
-    repeated = sorted({v for i, v in enumerate(out) if v in out[:i]})
-    if repeated:
-        raise ConfigError(f"key '{key}' lists {repeated} more than once")
-    return out
-
-
-def _parse_sde_block(raw: dict) -> SdeBlock:
-    unknown = set(raw) - set(_SDE_KEYS)
+def _checked_fields(cls: type, raw: dict, allowed: set, where: str, prefix: str = "") -> dict:
+    """The entries of raw, each checked against its annotation in cls."""
+    unknown = set(raw) - allowed
     if unknown:
-        raise ConfigError(f"unknown key(s) under 'sde': {sorted(unknown)}")
-    vals: dict[str, Any] = {}
-    for key, value in raw.items():
-        tp, _ = _SDE_KEYS[key]
-        vals[key] = _check_type(f"sde.{key}", value, tp)
-    block = SdeBlock(**vals)
-    if block.kind != "fou":
-        raise ConfigError(f"sde.kind must be 'fou', got {block.kind!r}")
-    if block.lam < 0:
-        raise ConfigError("sde.lam must be nonnegative")
-    return block
+        raise ConfigError(f"unknown key(s) {where}: {sorted(unknown, key=str)}")
+    return {key: _checked(prefix + key, value, _HINTS[cls][key]) for key, value in raw.items()}
+
+
+def _checked(key: str, value: Any, tp: Any) -> Any:
+    """value as a field annotated tp holds it, or a ConfigError naming key:
+    a float takes any number, a tuple[T, ...] a nonempty list of T that
+    names no entry twice, and a dataclass a mapping of its fields."""
+    if tp in _HINTS:
+        if not isinstance(value, dict):
+            raise ConfigError(f"key '{key}' must be a mapping, got {value!r}")
+        return tp(**_checked_fields(tp, value, set(_HINTS[tp]), f"under '{key}'", f"{key}."))
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"key '{key}' must be a list, got {value!r}")
+        out = tuple(_checked(f"{key}[{i}]", item, typing.get_args(tp)[0]) for i, item in enumerate(value))
+        if not out:
+            raise ConfigError(f"key '{key}' must not be empty; omit it to take its default")
+        # every list key names a set (generators, cases, report times, ladder
+        # rungs), so an entry given twice would run or report it twice
+        repeated = sorted({v for i, v in enumerate(out) if v in out[:i]})
+        if repeated:
+            raise ConfigError(f"key '{key}' lists {repeated} more than once")
+        return out
+    # bool is an int subclass in Python, so it is refused first
+    if isinstance(value, bool) and tp is not bool:
+        raise ConfigError(f"key '{key}' must be {_TYPE_NAMES[tp]}, got a boolean")
+    if not isinstance(value, (int, float) if tp is float else tp):
+        raise ConfigError(f"key '{key}' must be {_TYPE_NAMES[tp]}, got {value!r}")
+    try:
+        return float(value) if tp is float else value
+    except OverflowError:
+        raise ConfigError(f"key '{key}' must be a number, got an integer beyond the float range") from None
 
 
 def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
     """Validate a parsed YAML mapping for the given suite."""
     if suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    raw = dict(raw or {})
-    allowed = dict(_COMMON_KEYS)
-    allowed.update(_SUITE_EXTRA[suite])
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) for suite '{suite}': {sorted(unknown)}")
-
-    vals: dict[str, Any] = {}
-    for key, value in raw.items():
-        tp, _ = allowed[key]
-        vals[key] = _check_type(key, value, tp)
-
+    allowed = _COMMON | set(_SUITE_KEYS[suite])
+    vals = _checked_fields(ExperimentConfig, dict(raw or {}), allowed, f"for suite '{suite}'")
     declared = vals.pop("suite", suite)
     if declared != suite:
-        raise ConfigError(
-            f"config declares suite {declared!r} but was run as {suite!r}"
-        )
-
-    if "generators" in vals:
-        vals["generators"] = _scalar_list("generators", vals["generators"], str)
-        for g in vals["generators"]:
-            if g not in GENERATOR_NAMES:
-                raise ConfigError(f"unknown generator {g!r}; choose from {GENERATOR_NAMES}")
-        if not vals["generators"]:
-            raise ConfigError("generators must not be empty")
-    if "cases" in vals:
-        vals["cases"] = _scalar_list("cases", vals["cases"], str)
-        if not vals["cases"]:
-            raise ConfigError("key 'cases' must not be empty; omit it to run the default cases")
-    if "checkpoints" in vals:
-        vals["checkpoints"] = _scalar_list("checkpoints", vals["checkpoints"], float)
-        if not vals["checkpoints"]:
-            raise ConfigError("checkpoints must not be empty")
-    if "grid_sizes" in vals:
-        vals["grid_sizes"] = _scalar_list("grid_sizes", vals["grid_sizes"], int)
-    if "sde" in vals:
-        vals["sde"] = _parse_sde_block(vals["sde"])
-
+        raise ConfigError(f"config declares suite {declared!r} but was run as {suite!r}")
     cfg = ExperimentConfig(suite=suite, **vals)
 
+    for g in cfg.generators:
+        if g not in GENERATOR_NAMES:
+            raise ConfigError(f"unknown generator {g!r}; choose from {GENERATOR_NAMES}")
+    if cfg.sde.kind != "fou":
+        raise ConfigError(f"sde.kind must be 'fou', got {cfg.sde.kind!r}")
+    if cfg.sde.lam < 0:
+        raise ConfigError("sde.lam must be nonnegative")
     if not 0.0 < cfg.hurst < 1.0:
         raise ConfigError(f"hurst must lie in (0, 1), got {cfg.hurst}")
     if cfg.horizon <= 0:
@@ -247,12 +196,15 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
                 f"'{cfg.residual}'; known: {sorted(known)}"
             )
     if suite == "solve-sde":
+        points = TimeGrid.uniform(cfg.grid_n, cfg.horizon).points
         for t in cfg.checkpoints:
             if not 0.0 < t <= cfg.horizon:
                 raise ConfigError(f"checkpoints entry {t:g} outside (0, horizon {cfg.horizon:g}]")
-    for n in cfg.grid_sizes:
-        if n < 2:
-            raise ConfigError("grid_sizes entries must be at least 2")
+            if t not in points:
+                raise ConfigError(
+                    f"checkpoints entry {t:g} is not a grid point; use multiples of "
+                    f"horizon/grid_n = {cfg.horizon / cfg.grid_n:g}"
+                )
     if suite == "converge":
         try:
             ladder_sizes(cfg.grid_sizes, cfg.n_paths)
@@ -295,12 +247,10 @@ def load_config(path: str, suite: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=_Loader)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"could not read config file {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse {path}: {exc}")
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
+    if raw is not None and not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
     return config_from_mapping(suite, raw)

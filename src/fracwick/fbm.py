@@ -295,8 +295,8 @@ def _by_row_blocks(
     return np.concatenate(blocks, axis=-1)
 
 
-def empirical_covariance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise sample covariance E[W_i W_j] over t_1..t_n with jackknife stderr.
+def empirical_covariance(values: np.ndarray, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Sample covariance E[W_i W_j] over t_1, t_(1+stride), ... with jackknife stderr.
 
     values is an ensemble matrix (rows = paths, columns = grid points incl.
     t_0). The estimator is a plain mean of products, for which the
@@ -306,7 +306,7 @@ def empirical_covariance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mat = np.asarray(values, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 2:
         raise ValueError("need a (n_paths >= 2, n_points) value matrix")
-    v = mat[:, 1:]
+    v = mat[:, 1::stride]
     m = v.shape[0]
     cov = v.T @ v / m
     sq = v * v

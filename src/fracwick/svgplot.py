@@ -22,6 +22,11 @@ _MARGIN_B = 50
 _MAX_HEAT_CELLS = 64
 
 
+def heat_stride(n: int) -> int:
+    """The stride by which heatmap decimates an axis of n entries."""
+    return max(1, math.ceil(n / _MAX_HEAT_CELLS))
+
+
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
@@ -199,7 +204,7 @@ def heatmap(matrix: np.ndarray, title: str, axis_label: str = "index") -> str:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise ValueError("heatmap needs a nonempty 2-d matrix")
-    stride = max(1, int(math.ceil(max(m.shape) / _MAX_HEAT_CELLS)))
+    stride = heat_stride(max(m.shape))
     m = m[::stride, ::stride]
     lo = float(m.min())
     hi = float(m.max())

@@ -506,6 +506,8 @@ def ladder_sizes(grid_sizes, n_paths: int) -> list[int]:
     sizes = sorted(int(n) for n in grid_sizes)
     if len(sizes) < 2:
         raise ValueError("grid_sizes needs at least two sizes for a ladder")
+    if sizes[0] < 2:
+        raise ValueError("grid_sizes entries must be at least 2")
     if len(set(sizes)) != len(sizes):
         raise ValueError("grid_sizes entries must be distinct")
     if any(sizes[-1] % n for n in sizes):

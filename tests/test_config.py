@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import typing
+from dataclasses import fields, is_dataclass
 
 import pytest
+import yaml
 
-from fracwick import cli, sde, suites, verify
+from fracwick import cli, config, sde, suites, verify
+from fracwick.config import SUITE_NAMES, ExperimentConfig, SdeBlock, config_from_mapping
+from fracwick.errors import ConfigError
 
 
 def _run(tmp_path, suite, text):
@@ -177,4 +182,120 @@ def test_repeated_list_entry_exits_2_before_sampling(tmp_path, capsys, monkeypat
     assert _run(tmp_path, suite, "grid_n: 16\nn_paths: 8\n" + text) == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"key '{key}'" in err and "more than once" in err
+    assert "Traceback" not in err
+
+
+# Every (suite, key) pair the schema knows, built from the dataclass fields
+# and the suite-key table, so that a key added later is covered here as is.
+_SUITE_SPECIFIC = {key for keys in config._SUITE_KEYS.values() for key in keys}
+_SUITE_KEY_PAIRS = [
+    (suite, f.name)
+    for suite in SUITE_NAMES
+    for f in fields(ExperimentConfig)
+    if f.name not in _SUITE_SPECIFIC or f.name in config._SUITE_KEYS[suite]
+]
+_SDE_KEYS = [f.name for f in fields(SdeBlock)]
+_SDE_SUITES = [suite for suite, key in _SUITE_KEY_PAIRS if key == "sde"]
+_HINTS = typing.get_type_hints(ExperimentConfig)
+_SDE_HINTS = typing.get_type_hints(SdeBlock)
+# a value of the wrong kind for each annotation: a quoted number is a string
+_WRONG = {float: "1.0", int: 1.5, str: 3, bool: 1}
+
+
+def _wrong_value(tp):
+    if is_dataclass(tp):
+        return ["x"]
+    if typing.get_origin(tp) is tuple:
+        return "x"
+    return _WRONG[tp]
+
+
+def _typed_cases():
+    """(suite, mapping, key as the message names it) for every wrongly typed
+    value: each key, each list key's entries, and each field under sde."""
+    cases = []
+    for suite, key in _SUITE_KEY_PAIRS:
+        tp = _HINTS[key]
+        cases.append((suite, {key: _wrong_value(tp)}, key))
+        if typing.get_origin(tp) is tuple:
+            cases.append((suite, {key: [_wrong_value(typing.get_args(tp)[0])]}, f"{key}[0]"))
+    for suite in _SDE_SUITES:
+        for key in _SDE_KEYS:
+            cases.append((suite, {"sde": {key: _wrong_value(_SDE_HINTS[key])}}, f"sde.{key}"))
+    return cases
+
+
+@pytest.mark.parametrize("suite, mapping, key", _typed_cases())
+def test_every_key_of_the_schema_refuses_a_wrong_type(tmp_path, capsys, monkeypatch, suite, mapping, key):
+    _no_draws(monkeypatch)
+    assert _run(tmp_path, suite, yaml.safe_dump(mapping)) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}' must be" in err
+    assert "Traceback" not in err
+
+
+def _float_keys():
+    cases = [(s, k) for s, k in _SUITE_KEY_PAIRS if _HINTS[k] is float]
+    return cases + [(s, f"sde.{k}") for s in _SDE_SUITES for k in _SDE_KEYS if _SDE_HINTS[k] is float]
+
+
+@pytest.mark.parametrize("suite, key", _float_keys())
+def test_every_number_key_refuses_an_integer_beyond_the_float_range(tmp_path, capsys, suite, key):
+    # float(10**400) overflows; the gate names the key instead
+    outer, _, inner = key.rpartition(".")
+    text = f"{outer}:\n  {inner}: 1{'0' * 400}\n" if outer else f"{key}: 1{'0' * 400}\n"
+    assert _run(tmp_path, suite, text) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}' must be a number" in err
+    assert "Traceback" not in err
+
+
+def _misspelt_cases():
+    cases = [(suite, {key + "x": 1}, f"for suite '{suite}': ['{key}x']") for suite, key in _SUITE_KEY_PAIRS]
+    for suite in _SDE_SUITES:
+        cases += [(suite, {"sde": {key + "x": 1}}, f"under 'sde': ['{key}x']") for key in _SDE_KEYS]
+    # a key of another suite is as foreign as a typo
+    cases += [
+        (suite, {f.name: 1}, f"for suite '{suite}': ['{f.name}']")
+        for suite in SUITE_NAMES
+        for f in fields(ExperimentConfig)
+        if (suite, f.name) not in _SUITE_KEY_PAIRS
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("suite, mapping, message", _misspelt_cases())
+def test_every_misspelt_or_foreign_key_exits_2_naming_it(tmp_path, capsys, monkeypatch, suite, mapping, message):
+    _no_draws(monkeypatch)
+    assert _run(tmp_path, suite, yaml.safe_dump(mapping)) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key(s) {message}" in err
+    assert "Traceback" not in err
+
+
+def test_unknown_keys_of_mixed_types_are_named():
+    # YAML allows integer keys; sorting them among strings must not raise
+    with pytest.raises(ConfigError, match=r"\[1, 'grdi_n'\]"):
+        config_from_mapping("generate", {1: 2, "grdi_n": 3})
+
+
+@pytest.mark.parametrize("name", ["missing.yaml", "."])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, name):
+    argv = ["generate", "--config", str(tmp_path / name), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "could not read config file" in err
+    assert "Traceback" not in err
+
+
+def test_off_grid_checkpoint_is_refused_by_the_gate():
+    with pytest.raises(ConfigError, match="checkpoints"):
+        config_from_mapping("solve-sde", {"grid_n": 4, "checkpoints": [0.3]})
+
+
+def test_off_grid_checkpoint_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    _no_draws(monkeypatch)
+    assert _run(tmp_path, "solve-sde", "grid_n: 4\nn_paths: 8\ncheckpoints: [0.3]\n") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "checkpoints" in err and "not a grid point" in err
     assert "Traceback" not in err

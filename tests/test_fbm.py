@@ -342,6 +342,16 @@ class TestEmpiricalCovariance:
                 )
                 assert sample_stderr(products) == pytest.approx(want, rel=1e-10, abs=1e-15)
 
+    def test_stride_keeps_only_the_strided_entries(self):
+        # generate --plots asks only for the entries its heatmap shows
+        rng = np.random.default_rng(7)
+        mat = np.concatenate([np.zeros((50, 1)), rng.normal(size=(50, 10))], axis=1)
+        cov, stderr = empirical_covariance(mat)
+        cov3, stderr3 = empirical_covariance(mat, 3)
+        assert cov3.shape == (4, 4)
+        np.testing.assert_allclose(cov3, cov[::3, ::3], rtol=1e-13)
+        np.testing.assert_allclose(stderr3, stderr[::3, ::3], rtol=1e-12)
+
     def test_single_path_rejected(self):
         with pytest.raises(ValueError):
             empirical_covariance(np.zeros((1, 5)))

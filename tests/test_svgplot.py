@@ -37,6 +37,7 @@ def test_loglog_rejects_non_positive_data(x, y):
 
 def test_large_heatmap_is_decimated():
     # 200 rows stride by ceil(200 / 64) = 4, leaving 50 x 50 cells
+    assert svgplot.heat_stride(200) == 4 and svgplot.heat_stride(64) == 1
     svg = svgplot.heatmap(np.arange(200.0 * 200.0).reshape(200, 200), "big")
     # matrix cells are the filled rects without a stroke; legend swatches have one
     cells = re.findall(r'fill="rgb\(\d+,\d+,255\)"/>', svg)

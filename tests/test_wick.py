@@ -24,6 +24,7 @@ from fracwick import (
     phi_norm_sq,
     wick_integral_deterministic,
 )
+from fracwick import wick
 from fracwick.mc import fmean, sample_stderr
 from fracwick.wick import cylinder_integral_terms, isometry_kernels, left_corrections
 
@@ -176,6 +177,19 @@ class TestIsometry:
         report = isometry_check(f, vals, CTX, grid=grid)
         assert report.verdict, f"step isometry z = {report.z_score:.2f}"
         assert report.oracle == pytest.approx(phi_norm_sq(f, CTX), rel=1e-13)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_check_fails_without_the_wick_correction(self, monkeypatch, seed):
+        # power: S without its corrections h'(W_i) A_ii has the wrong second
+        # moment, and the skewness-corrected z must still flag it
+        monkeypatch.setattr(wick, "left_corrections", lambda grid, ctx: np.zeros(grid.n_intervals))
+        ctx = PhiContext(HurstParameter(0.7))
+        grid = TimeGrid.uniform(256, 1.0)
+        vals = ensemble_values("circulant", grid, ctx.hurst, seed, 2000)
+        kernels = isometry_kernels(grid, ctx)
+        for degree in (1, 2):
+            report = isometry_check(CylinderFunction.monomial(degree), vals, ctx, grid=grid, kernels=kernels)
+            assert not report.verdict, f"degree {degree}: z = {report.z_score:.2f}"
 
     def test_step_breakpoints_must_lie_on_path_grid(self):
         grid = TimeGrid.uniform(64, 1.0)
