@@ -13,7 +13,7 @@ import csv
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
 
 def phi_rect_quadrature(
@@ -249,6 +249,27 @@ def energy_permutation_pvalue(
         if stat(rng.permutation(base)) >= observed:
             hits += 1
     return (hits + 1.0) / (n_perm + 1.0)
+
+
+def empirical_likelihood_z(d: np.ndarray) -> float:
+    """Signed root of -2 log R for a zero mean of d, from the weights.
+
+    Brent's method on the raw differences, where the library bisects on
+    standardized ones; R is then the product of m w_i over the weights
+    themselves, which are checked to be a distribution with mean 0.
+    """
+    m = d.size
+    lam = optimize.brentq(
+        lambda t: math.fsum(d / (1.0 + t * d)),
+        (1.0 / m - 1.0) / d.max(),
+        (1.0 / m - 1.0) / d.min(),
+        xtol=1e-300,
+        rtol=4 * np.finfo(float).eps,
+    )
+    w = 1.0 / (m * (1.0 + lam * d))
+    assert math.isclose(math.fsum(w), 1.0, rel_tol=1e-9)
+    assert abs(math.fsum(w * d)) <= 1e-9 * math.fsum(w * np.abs(d))
+    return math.copysign(math.sqrt(-2.0 * math.fsum(np.log(m * w))), d.mean())
 
 
 def jackknife_delete_one(values: np.ndarray) -> float:

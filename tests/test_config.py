@@ -187,12 +187,11 @@ def test_repeated_list_entry_exits_2_before_sampling(tmp_path, capsys, monkeypat
 
 # Every (suite, key) pair the schema knows, built from the dataclass fields
 # and the suite-key table, so that a key added later is covered here as is.
-_SUITE_SPECIFIC = {key for keys in config._SUITE_KEYS.values() for key in keys}
 _SUITE_KEY_PAIRS = [
     (suite, f.name)
     for suite in SUITE_NAMES
     for f in fields(ExperimentConfig)
-    if f.name not in _SUITE_SPECIFIC or f.name in config._SUITE_KEYS[suite]
+    if f.name in config._COMMON | set(config._SUITE_KEYS[suite])
 ]
 _SDE_KEYS = [f.name for f in fields(SdeBlock)]
 _SDE_SUITES = [suite for suite, key in _SUITE_KEY_PAIRS if key == "sde"]

@@ -1,40 +1,81 @@
-"""Paired Monte Carlo reports against Johnson's t written out in full."""
+"""Paired Monte Carlo reports against the empirical likelihood written out
+by another route, and the power of the paired z against a skewed gap."""
 
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from fracwick.mc import Z_THRESHOLD, MonteCarloReport
 
 
-def _johnson_t(d):
-    """Johnson (1978): (mean + mu3 / (6 s^2 n) + mu3 mean^2 / (3 s^4)) / (s / sqrt(n)),
-    mu3 the third central moment and s^2 the unbiased variance."""
-    n = d.size
-    mean = d.mean()
-    s2 = d.var(ddof=1)
-    mu3 = ((d - mean) ** 3).mean()
-    return (mean + mu3 / (6.0 * s2 * n) + mu3 * mean**2 / (3.0 * s2 * s2)) / math.sqrt(s2 / n)
+def _paired(diff):
+    return MonteCarloReport.from_paired("x", diff, np.zeros(diff.size))
+
+
+def _skewed(size=2000, seed=1):
+    """Log-normal differences centred on 0, sample skewness about 11, and
+    their stderr."""
+    x = np.random.default_rng(seed).lognormal(0.0, 1.3, size)
+    x -= x.mean()
+    return x, x.std(ddof=1) / math.sqrt(size)
 
 
 @pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("shift", [0.0, 0.05, -0.2])
-def test_paired_z_is_johnsons_t(seed, shift):
+@pytest.mark.parametrize("shift", [0.05, -0.2, 0.3])
+def test_paired_z_is_the_empirical_likelihood_root(seed, shift):
     rng = np.random.default_rng(seed)
     rhs = rng.normal(size=500)
     lhs = rhs + rng.exponential(size=500) - 1.0 + shift
     report = MonteCarloReport.from_paired("x", lhs, rhs)
-    assert report.z_score == pytest.approx(_johnson_t(lhs - rhs), rel=1e-10)
+    assert report.z_score == pytest.approx(oracles.empirical_likelihood_z(lhs - rhs), rel=1e-9)
     assert report.verdict == (abs(report.z_score) < Z_THRESHOLD)
 
 
-def test_symmetric_differences_keep_the_plain_t():
-    d = np.array([-2.0, -1.0, 0.5, 1.0, 2.0, -0.5])
-    diff = d + 0.1
-    report = MonteCarloReport.from_paired("x", diff, np.zeros(d.size))
-    plain = diff.mean() / (diff.std(ddof=1) / math.sqrt(diff.size))
-    assert report.z_score == pytest.approx(plain, rel=1e-12)
+def test_symmetric_differences_give_about_the_plain_t():
+    x = np.random.default_rng(0).normal(size=2000)
+    x -= x.mean()
+    se = x.std(ddof=1) / math.sqrt(x.size)
+    for t in (-4.0, 1.0, 3.0):
+        assert _paired(x + t * se).z_score == pytest.approx(t, abs=0.02)
+
+
+def test_skewness_of_the_test_differences():
+    x, _ = _skewed()
+    assert 9.0 < np.mean((x / x.std()) ** 3) < 12.0
+
+
+@pytest.mark.parametrize("shift", [-30.0, -8.0, 8.0, 30.0])
+def test_gap_of_either_sign_to_a_skew_fails(shift):
+    # right-skewed differences shifted by `shift` stderr: the gap against
+    # the skew is the one a normal-theory skewness correction loses
+    x, se = _skewed()
+    report = _paired(x + shift * se)
+    assert not report.verdict, f"z = {report.z_score:.2f}"
+    assert math.copysign(1.0, report.z_score) == math.copysign(1.0, shift)
+
+
+def test_z_increases_with_a_shift():
+    x, se = _skewed()
+    # past 20 stderr every difference is positive and z is infinite
+    z = [_paired(x + k * se).z_score for k in np.linspace(-40.0, 15.0, 111)]
+    assert np.all(np.isfinite(z)) and np.all(np.diff(z) > 0)
+    assert _paired(x).verdict
+
+
+def test_differences_on_one_side_of_zero_give_an_infinite_z():
+    d = np.random.default_rng(2).exponential(size=50)
+    assert _paired(d).z_score == math.inf and _paired(-d).z_score == -math.inf
+    assert not _paired(d).verdict
+    # an exact zero is on the boundary: no weighting gives mean 0 there either
+    assert _paired(np.append(d, 0.0)).z_score == math.inf
+
+
+def test_a_nan_difference_gives_a_nan_z_and_fails():
+    d = np.array([1.0, -2.0, np.nan, 0.5])
+    report = _paired(d)
+    assert math.isnan(report.z_score) and not report.verdict
 
 
 def test_estimate_oracle_and_stderr_are_the_plain_ones():

@@ -146,7 +146,7 @@ def test_manifest_records_threads_and_versions(tmp_path, monkeypatch):
 
 def test_isometry_passes_at_master_seed_3_of_the_benchmark_config(tmp_path):
     # isometry:w2 read z = -4.18 here under the plain paired t; its paired
-    # differences are skewed, and the skewness-corrected z reads -2.64
+    # differences are skewed, and the empirical likelihood z reads -3.12
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump({"grid_n": 2048, "n_paths": 2000, "master_seed": 3}))
     assert cli.main(["isometry", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0

@@ -180,8 +180,8 @@ class TestIsometry:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_check_fails_without_the_wick_correction(self, monkeypatch, seed):
-        # power: S without its corrections h'(W_i) A_ii has the wrong second
-        # moment, and the skewness-corrected z must still flag it
+        # power: S without its corrections h'(W_i) A_ii has too large a
+        # second moment, on the side of the skew of S^2
         monkeypatch.setattr(wick, "left_corrections", lambda grid, ctx: np.zeros(grid.n_intervals))
         ctx = PhiContext(HurstParameter(0.7))
         grid = TimeGrid.uniform(256, 1.0)
@@ -189,7 +189,22 @@ class TestIsometry:
         kernels = isometry_kernels(grid, ctx)
         for degree in (1, 2):
             report = isometry_check(CylinderFunction.monomial(degree), vals, ctx, grid=grid, kernels=kernels)
-            assert not report.verdict, f"degree {degree}: z = {report.z_score:.2f}"
+            assert not report.verdict and report.z_score > 0, f"degree {degree}: z = {report.z_score:.2f}"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_check_fails_with_the_cross_kernel_untransposed(self, seed):
+        # power against the skew: A o A in place of A o A^T puts the oracle
+        # of h(x) = x, h'^2 sum(A o A), above E[S^2], since
+        # sum A_ij^2 >= sum A_ij A_ji; the gap lies on the short side of the
+        # right-skewed S^2, where a normal-theory correction loses it
+        ctx = PhiContext(HurstParameter(0.7))
+        grid = TimeGrid.uniform(128, 1.0)
+        vals = ensemble_values("circulant", grid, ctx.hurst, seed, 4000)
+        gamma, _ = isometry_kernels(grid, ctx)
+        r = covariance_grid(grid.points, ctx.hurst)
+        a = r[:-1, 1:] - r[:-1, :-1]
+        report = isometry_check(CylinderFunction.monomial(1), vals, ctx, grid=grid, kernels=(gamma, a * a))
+        assert not report.verdict and report.z_score < 0, f"z = {report.z_score:.2f}"
 
     def test_step_breakpoints_must_lie_on_path_grid(self):
         grid = TimeGrid.uniform(64, 1.0)
