@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .fbm import GENERATOR_NAMES
 from .grids import TimeGrid
 from .sde import SOLVER_NAMES
-from .verify import RESIDUAL_NAMES, case_registry, girsanov_case_registry, ladder_sizes
+from .verify import MAX_LADDER_BUDGET, RESIDUAL_NAMES, case_registry, girsanov_case_registry, ladder_sizes
 from .wick import MAX_NORM_SQ
 
 # The largest power of the horizon a suite forms: fBm scales as T^H, the
@@ -174,6 +174,12 @@ def config_from_mapping(suite: str, raw: dict | None) -> ExperimentConfig:
         raise ConfigError("n_paths must be at least 2 (every check needs a standard error)")
     if cfg.grid_n < 1:
         raise ConfigError("grid_n must be at least 1")
+    # converge samples its grid_sizes ladder, which ladder_sizes caps below
+    if suite != "converge" and cfg.n_paths * (cfg.grid_n + 1) > MAX_LADDER_BUDGET:
+        raise ConfigError(
+            f"n_paths * (grid_n + 1) = {cfg.n_paths} * {cfg.grid_n + 1} exceeds the cap of "
+            f"{MAX_LADDER_BUDGET} path-matrix cells; shrink n_paths or grid_n"
+        )
     if cfg.solver not in SOLVER_NAMES:
         raise ConfigError(f"unknown solver {cfg.solver!r}; choose from {SOLVER_NAMES}")
     if cfg.residual not in RESIDUAL_NAMES:

@@ -26,11 +26,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DriftBlowupError, NonConvergenceError, VarianceOverflowError
-from .fbm import HurstParameter, block_rows, ensemble_values, fgn_autocovariance
+from .fbm import HurstParameter, ensemble_values, fgn_autocovariance
 from .grids import TimeGrid
 from .mc import MonteCarloReport, fmean, variance_stderr
 from .phicalc import PhiContext
-from .pool import run_tasks
 
 SOLVER_NAMES = ("flow-euler", "flow-rk4", "direct-euler", "picard")
 
@@ -312,14 +311,14 @@ def sde_mc_stats(
     supplied oracle. Returns the reports and the nodes of X, Y and W on
     row 0, the stream-0 path.
 
-    Rows are drawn on the worker pool in blocks of `block_rows` rows, a
-    partition fixed by the grid alone. Picard solves each block in the
-    task that drew it and keeps only X at the checkpoints, so its memory
-    is a few blocks. The stepping solvers write the blocks into one
-    time-major noise array and step every path at once: a step costs the
-    same few numpy calls whatever its width, so narrow blocks would
-    multiply that Python cost, and threads stepping side by side would
-    queue on the interpreter lock.
+    The sampler hands its row blocks, a partition fixed by the grid alone
+    (`fbm.block_rows`), to a consumer on the worker pool. Picard solves
+    each block in the task that drew it and keeps only X at the
+    checkpoints, so its memory is a few blocks. The stepping solvers copy
+    the blocks into one time-major noise array and step every path at
+    once: a step costs the same few numpy calls whatever its width, so
+    narrow blocks would multiply that Python cost, and threads stepping
+    side by side would queue on the interpreter lock.
     """
     cps = np.asarray(checkpoints, dtype=float)
     means_oracle, vars_oracle = oracle
@@ -333,30 +332,23 @@ def sde_mc_stats(
         if j >= grid.points.size or grid.points[j] != t:
             raise ValueError(f"checkpoint t = {t} is not a grid point")
         idx.append(j)
-    nodes = grid.points.size
-    rows = block_rows(nodes)
-    blocks = [(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
-
-    def draw(lo: int, hi: int) -> np.ndarray:
-        return ensemble_values("circulant", grid, h, master_seed, hi - lo, first=lo)
 
     if solver == "picard":
 
-        def picard_block(lo: int, hi: int):
-            w = draw(lo, hi)
+        def picard_block(lo: int, w: np.ndarray):
             result = solve_picard(spec, grid, w, tol)
-            return result.x[:, idx], (result.x[0], result.y[0], w[0]) if lo == 0 else None
+            return result.x[:, idx], (result.x[0], result.y[0], w[0].copy()) if lo == 0 else None
 
-        parts = run_tasks([lambda lo=lo, hi=hi: picard_block(lo, hi) for lo, hi in blocks])
+        parts = ensemble_values("circulant", grid, h, master_seed, n_paths, keep=picard_block)
         x_cps = np.concatenate([x for x, _ in parts]).T
         path0 = parts[0][1]
     else:
-        w = np.empty((nodes, n_paths))
+        w = np.empty((grid.points.size, n_paths))
 
-        def fill(lo: int, hi: int) -> None:
-            w[:, lo:hi] = draw(lo, hi).T
+        def fill(lo: int, block: np.ndarray) -> None:
+            w[:, lo : lo + block.shape[0]] = block.T
 
-        run_tasks([lambda lo=lo, hi=hi: fill(lo, hi) for lo, hi in blocks])
+        ensemble_values("circulant", grid, h, master_seed, n_paths, keep=fill)
         z = _STEPPERS[solver](spec, grid.points, w)
         x_cps, _ = _x_and_y(solver, spec.sigma, z[idx], w[idx])
         # copies, so that the (nodes x paths) arrays die on return

@@ -6,13 +6,16 @@ returns a RunManifest. All CSV and SVG artifacts are byte-reproducible for
 a fixed config; manifest.json carries the timestamp, wall clock, worker
 cap and library versions and is the one file excluded from that guarantee.
 
-verify-ito, verify-product-rule, verify-wentzell, girsanov and isometry
-share one runner: it samples one circulant ensemble and runs the suite's
-list of checks, thunks that each reduce it to a MonteCarloReport, on the
-worker pool; the report rows keep the order of the list. solve-sde hands
-sampling and solving to `sde.sde_mc_stats`, whose unit of work on the pool
-is a row block of a partition fixed by the grid, so its artifacts too
-keep their bytes whatever the thread count.
+Every suite samples through `fbm.ensemble_values`, which draws row blocks
+of a partition fixed by the grid on the worker pool, so no artifact
+depends on the thread count. generate streams each generator's blocks and
+keeps W_T, the rows of its CSV and the heatmap's columns, never the whole
+ensemble. verify-ito, verify-product-rule, verify-wentzell, girsanov and
+isometry share one runner: it samples one circulant ensemble matrix and
+runs the suite's list of checks, thunks that each reduce it to a
+MonteCarloReport, on the worker pool; the report rows keep the order of
+the list. solve-sde hands sampling and solving to `sde.sde_mc_stats`, and
+converge samples its finest rung in `verify.convergence_study`.
 """
 from __future__ import annotations
 
@@ -62,6 +65,8 @@ REPORT_HEADER = [
 ]
 
 # How many paths land in the ensemble CSV; statistics always use them all.
+# generate keeps only these rows of the ensemble, with W_T of every path
+# and the heatmap's columns; the rest of each block dies with its buffer.
 _MAX_CSV_PATHS = 64
 
 
@@ -132,20 +137,26 @@ def _suite_generate(cfg: ExperimentConfig, outdir: str):
     h = HurstParameter(cfg.hurst)
     grid = TimeGrid.uniform(cfg.grid_n, cfg.horizon)
     var_t = cfg.horizon ** (2.0 * cfg.hurst)
+    stride = svgplot.heat_stride(cfg.grid_n)
+
+    def keep(lo: int, block: np.ndarray):
+        # W_T, the rows the CSV shows and, for the heatmap, only the
+        # columns it shows; the block's buffer is reused once this returns
+        heat_cols = block[:, 1::stride].copy() if cfg.plots else block[:, :0]
+        return block[:, -1].copy(), block[: max(0, _MAX_CSV_PATHS - lo)].copy(), heat_cols
 
     def one(gen: str):
-        vals = ensemble_values(gen, grid, h, cfg.master_seed, cfg.n_paths)
-        w_t = vals[:, -1]
+        parts = ensemble_values(gen, grid, h, cfg.master_seed, cfg.n_paths, keep=keep)
+        w_t, head, heat_cols = (np.concatenate(kept) for kept in zip(*parts))
         rows = [
             (cfg.grid_n, MonteCarloReport.from_samples(f"{gen}:mean@T", w_t, 0.0)),
             (cfg.grid_n, MonteCarloReport.from_samples(f"{gen}:variance@T", w_t**2, var_t)),
         ]
         csv_name = f"paths_{gen}.csv"
-        write_ensemble_csv(grid, vals[:_MAX_CSV_PATHS], os.path.join(outdir, csv_name))
+        write_ensemble_csv(grid, head, os.path.join(outdir, csv_name))
         artifacts = [csv_name]
         if cfg.plots:
-            # only the entries the heatmap shows
-            cov, _ = empirical_covariance(vals, svgplot.heat_stride(cfg.grid_n))
+            cov, _ = empirical_covariance(heat_cols)
             svg_name = f"covariance_{gen}.svg"
             svgplot.write_svg(
                 os.path.join(outdir, svg_name),

@@ -50,7 +50,8 @@ from .phicalc import PhiContext
 from .stepfn import StepFunction
 from .wick import _step_levels_on_path, exponential_functional
 
-# Cost cap for convergence ladders: paths times total cells across rungs.
+# Cost cap in path-matrix cells: paths times total cells across the rungs
+# of a convergence ladder, and paths times grid points for every other suite.
 MAX_LADDER_BUDGET = 2**28
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import typing
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 import yaml
@@ -298,3 +299,29 @@ def test_off_grid_checkpoint_exits_2_before_sampling(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert "config error" in err and "checkpoints" in err and "not a grid point" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", [s for s in SUITE_NAMES if s != "converge"])
+def test_more_path_cells_than_the_budget_exit_2_naming_both_keys(tmp_path, capsys, monkeypatch, suite):
+    _no_draws(monkeypatch)
+    assert _run(tmp_path, suite, "grid_n: 18446744073709551616\n") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "grid_n" in err and "n_paths" in err
+    assert "Traceback" not in err
+
+
+def test_path_cell_budget_is_inclusive():
+    half = verify.MAX_LADDER_BUDGET // 2
+    config_from_mapping("generate", {"n_paths": 2, "grid_n": half - 1})
+    with pytest.raises(ConfigError, match="grid_n"):
+        config_from_mapping("generate", {"n_paths": 2, "grid_n": half})
+
+
+def test_benchmark_configs_fit_the_path_cell_budget():
+    # the largest, generate at 1024 x 20000, is 2.05e7 cells
+    workloads = sorted((Path(__file__).parents[1] / "perfbench" / "workloads").glob("*.yaml"))
+    assert workloads
+    for path in workloads:
+        suite = yaml.safe_load(path.read_text())["suite"]
+        cfg = config.load_config(str(path), suite)
+        assert cfg.n_paths * (cfg.grid_n + 1) <= verify.MAX_LADDER_BUDGET

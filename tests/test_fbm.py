@@ -136,8 +136,9 @@ class TestNoiseMachinery:
     def test_half_spectrum_transform_matches_full_spectrum(self, n, h):
         lam = circulant_eigenvalues(n, HurstParameter(h))
         z = np.random.default_rng(n).standard_normal((7, 2 * n))
-        got = _circulant_fgn(lam, z)
         want = oracles.circulant_fgn_full_spectrum(lam, z)
+        # the transform overwrites the normals it reads
+        got = _circulant_fgn(lam, z, np.empty((7, n + 1), dtype=complex))
         assert got.shape == (7, n)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
@@ -311,27 +312,65 @@ class TestRowBlocks:
         assert peak < 2 * vals.nbytes, f"peak {peak / 2**20:.1f} MiB for a {vals.nbytes / 2**20:.1f} MiB result"
 
 
+class TestBlockCore:
+    # grid_n 256 puts block_rows(257) = 255 rows in a block, so 600 paths
+    # make blocks of 255, 255 and 90 rows
+    GRID_N = 256
+    N_PATHS = 600
+
+    @pytest.mark.parametrize("method", GENERATORS)
+    def test_bit_identical_across_thread_counts(self, monkeypatch, method):
+        grid = TimeGrid.uniform(self.GRID_N, 1.0)
+        runs = {}
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("FRACWICK_THREADS", threads)
+            runs[threads] = ensemble_values(method, grid, HurstParameter(0.7), 3, self.N_PATHS).tobytes()
+        assert runs["1"] == runs["2"] == runs["4"]
+
+    @pytest.mark.parametrize("method", GENERATORS)
+    def test_consumer_gets_the_blocks_in_row_order(self, monkeypatch, method):
+        monkeypatch.setenv("FRACWICK_THREADS", "4")
+        grid = TimeGrid.uniform(self.GRID_N, 1.0)
+        h = HurstParameter(0.7)
+        whole = ensemble_values(method, grid, h, 3, self.N_PATHS)
+        kept = ensemble_values(method, grid, h, 3, self.N_PATHS, keep=lambda lo, b: (lo, b.copy()))
+        assert [(lo, b.shape) for lo, b in kept] == [(0, (255, 257)), (255, (255, 257)), (510, (90, 257))]
+        assert np.concatenate([b for _, b in kept]).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("h", [0.3, 0.55, 0.7, 0.9])
+@pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
+def test_hosking_rows_are_cholesky_rows_on_the_same_streams(n, h):
+    # The Durbin-Levinson recursion factors the Toeplitz fGn covariance,
+    # so dt^H times the cumulative sum of its factor is the lower-triangular
+    # factor of the path covariance, which is unique: on the same n normals
+    # per stream, both samplers give the same rows up to rounding.
+    grid = TimeGrid.uniform(n, 1.0)
+    hp = HurstParameter(h)
+    hosking = ensemble_values("hosking", grid, hp, 13, 8)
+    cholesky = ensemble_values("cholesky", grid, hp, 13, 8)
+    assert np.max(np.abs(hosking - cholesky)) <= 1e-10 * np.max(np.abs(cholesky))
+
+
 class TestEmpiricalCovariance:
-    def test_drops_time_zero_column(self):
+    def test_covariance_of_the_given_columns(self):
         grid = TimeGrid.uniform(4, 1.0)
         vals = ensemble_values("circulant", grid, HurstParameter(0.7), 0, 16)
-        cov, stderr = empirical_covariance(vals)
+        cov, stderr = empirical_covariance(vals[:, 1:])
         assert cov.shape == (4, 4) and stderr.shape == (4, 4)
 
     def test_matches_plain_mean_of_products(self):
         rng = np.random.default_rng(5)
-        mat = np.concatenate([np.zeros((30, 1)), rng.normal(size=(30, 3))], axis=1)
-        cov, _ = empirical_covariance(mat)
-        v = mat[:, 1:]
+        v = rng.normal(size=(30, 3))
+        cov, _ = empirical_covariance(v)
         np.testing.assert_allclose(cov, v.T @ v / 30.0, rtol=1e-14)
 
     @given(seed=st.integers(0, 10_000), m=st.integers(3, 40), n=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_jackknife_reduces_to_delete_one(self, seed, m, n):
         rng = np.random.default_rng(seed)
-        mat = np.concatenate([np.zeros((m, 1)), rng.normal(size=(m, n))], axis=1)
-        _, stderr = empirical_covariance(mat)
-        v = mat[:, 1:]
+        v = rng.normal(size=(m, n))
+        _, stderr = empirical_covariance(v)
         for i in range(n):
             for j in range(n):
                 products = v[:, i] * v[:, j]
@@ -342,12 +381,12 @@ class TestEmpiricalCovariance:
                 )
                 assert sample_stderr(products) == pytest.approx(want, rel=1e-10, abs=1e-15)
 
-    def test_stride_keeps_only_the_strided_entries(self):
-        # generate --plots asks only for the entries its heatmap shows
+    def test_strided_columns_give_the_strided_entries(self):
+        # generate --plots keeps only the columns its heatmap shows
         rng = np.random.default_rng(7)
-        mat = np.concatenate([np.zeros((50, 1)), rng.normal(size=(50, 10))], axis=1)
-        cov, stderr = empirical_covariance(mat)
-        cov3, stderr3 = empirical_covariance(mat, 3)
+        v = rng.normal(size=(50, 10))
+        cov, stderr = empirical_covariance(v)
+        cov3, stderr3 = empirical_covariance(v[:, ::3])
         assert cov3.shape == (4, 4)
         np.testing.assert_allclose(cov3, cov[::3, ::3], rtol=1e-13)
         np.testing.assert_allclose(stderr3, stderr[::3, ::3], rtol=1e-12)

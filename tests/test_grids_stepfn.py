@@ -43,6 +43,20 @@ class TestTimeGrid:
         grid = TimeGrid(np.array([0.0, 0.1, 1.0]))
         assert not grid.is_uniform()
 
+    @pytest.mark.parametrize(
+        "points", [[0.0, 0.4, 1.0], np.linspace(0.0, 1.0, 101) + np.eye(101)[50] * 1e-12]
+    )
+    def test_uneven_spacings_stay_refused(self, points):
+        assert not TimeGrid(np.asarray(points)).is_uniform()
+
+    @pytest.mark.parametrize("horizon", [1.0, 0.37, 1e5])
+    def test_every_uniform_grid_up_to_20000_cells_is_uniform(self, horizon):
+        # linspace rounds each point to its own ulp, so the spacings differ
+        # by up to about one ulp of the horizon; at horizon 1 that exceeds a
+        # relative 1e-12 of the spacing from 7112 cells on
+        refused = [n for n in range(1, 20001) if not TimeGrid.uniform(n, horizon).is_uniform()]
+        assert refused == []
+
     def test_restriction_indices_on_nested_uniform(self):
         fine = TimeGrid.uniform(8, 1.0)
         coarse = TimeGrid.uniform(4, 1.0)

@@ -6,14 +6,18 @@ import dataclasses
 import json
 import os
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
-from fracwick import cli
+from fracwick import HurstParameter, TimeGrid, cli, empirical_covariance, ensemble_values, svgplot
 from fracwick.config import SUITE_NAMES, config_from_mapping
-from fracwick.suites import config_digest
+from fracwick.fbm import GENERATOR_NAMES
+from fracwick.grids import write_ensemble_csv
+from fracwick.mc import MonteCarloReport
+from fracwick.suites import config_digest, write_report_csv
 
 SMALL = {"grid_n": 64, "n_paths": 256, "master_seed": 0, "plots": True}
 CONVERGE_SMALL = {"grid_sizes": [16, 32, 64], "n_paths": 256, "master_seed": 0, "plots": True}
@@ -150,3 +154,71 @@ def test_isometry_passes_at_master_seed_3_of_the_benchmark_config(tmp_path):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump({"grid_n": 2048, "n_paths": 2000, "master_seed": 3}))
     assert cli.main(["isometry", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+
+
+# grid_n 256 puts block_rows(257) = 255 paths in a row block, so 600 paths
+# make three blocks, the last one short
+GENERATE_BLOCKS = {"grid_n": 256, "n_paths": 600, "master_seed": 5, "plots": True}
+
+
+def test_generate_streams_the_whole_ensemble_artifacts(tmp_path, monkeypatch):
+    # equality is taken before the assert, since a diff of two large
+    # artifacts would take minutes to render
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(GENERATE_BLOCKS))
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("FRACWICK_THREADS", threads)
+        assert cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / threads)]) == 0
+    names = sorted(f for f in os.listdir(tmp_path / "1") if f.endswith((".csv", ".svg")))
+    assert len(names) == 2 + 2 * len(GENERATOR_NAMES)
+    for name in names:
+        same = {(tmp_path / threads / name).read_bytes() for threads in ("1", "2", "4")}
+        assert len(same) == 1, name
+
+    # the same artifacts from the whole ensemble matrix
+    n = GENERATE_BLOCKS["grid_n"]
+    grid = TimeGrid.uniform(n, 1.0)
+    rows = []
+    for gen in GENERATOR_NAMES:
+        vals = ensemble_values(gen, grid, HurstParameter(0.7), 5, GENERATE_BLOCKS["n_paths"])
+        rows += [
+            (n, MonteCarloReport.from_samples(f"{gen}:mean@T", vals[:, -1], 0.0)),
+            (n, MonteCarloReport.from_samples(f"{gen}:variance@T", vals[:, -1] ** 2, 1.0)),
+        ]
+        write_ensemble_csv(grid, vals[:64], str(tmp_path / "paths.csv"))
+        same = (tmp_path / "paths.csv").read_bytes() == (tmp_path / "1" / f"paths_{gen}.csv").read_bytes()
+        assert same, f"paths_{gen}.csv"
+        cov, _ = empirical_covariance(vals[:, 1 :: svgplot.heat_stride(n)])
+        want = svgplot.heatmap(cov, f"empirical covariance ({gen})", "grid index")
+        same = (tmp_path / "1" / f"covariance_{gen}.svg").read_text() == want
+        assert same, f"covariance_{gen}.svg"
+    write_report_csv(rows, str(tmp_path / "report.csv"))
+    same = (tmp_path / "report.csv").read_bytes() == (tmp_path / "1" / "report.csv").read_bytes()
+    assert same, "report.csv"
+
+
+def test_generate_keeps_no_ensemble(tmp_path, monkeypatch):
+    # the 1024 x 4000 ensemble is 32 MiB; generate keeps W_T and 64 rows,
+    # and each worker one block of buffers (about 2.5 MiB here)
+    monkeypatch.setenv("FRACWICK_THREADS", "1")
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("grid_n: 1024\nn_paths: 4000\ngenerators: [circulant]\n")
+    tracemalloc.start()
+    try:
+        assert cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ensemble = 4000 * 1025 * 8
+    assert peak < ensemble / 4, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    "suite, extra", [("generate", {"generators": ["circulant"]}), ("verify-ito", {}), ("solve-sde", {})]
+)
+def test_grid_n_7112_is_uniform_enough_to_sample(tmp_path, suite, extra):
+    # the first grid_n at horizon 1 whose linspace spacings differ by more
+    # than a relative 1e-12 of the first
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({"grid_n": 7112, "n_paths": 16, **extra}))
+    assert cli.main([suite, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
