@@ -7,11 +7,12 @@ recursion (uniform grids, O(n^2) reference). They share one batched core,
 `ensemble_values`, which puts replication i in row i, drawn from stream i
 of `rng.SeedSpec`; a single path is a one-row slice of an ensemble. Rows
 are drawn and transformed a row block at a time on the worker pool, over a
-partition that the grid alone fixes, so no value depends on the thread
-count. Each worker reuses one set of block buffers. A block is written
-straight into the result matrix, or handed to the caller's consumer, which
-keeps what it needs; so peak memory is the result plus one block per
-worker, and with a consumer only the blocks. Each block's normals come from
+partition that the grid (and a consumer's minimum row count) alone fixes,
+so no value depends on the thread count. Each worker reuses one set of
+block buffers. A block is written straight into the result matrix, or
+handed to the caller's consumer, which keeps what it needs; so peak memory
+is the result plus one block per worker, and with a consumer only the
+blocks. Each block's normals come from
 one `rng.standard_normal_rows` call, which keys all the block's streams at
 once and gives the bits of one fresh generator per stream.
 """
@@ -224,6 +225,7 @@ def ensemble_values(
     master_seed: int,
     n_paths: int,
     keep: Callable[[int, np.ndarray], object] | None = None,
+    min_rows: int = 1,
 ) -> np.ndarray | list:
     """Matrix of n_paths trajectories (rows), row i on stream i; or, given
     keep, the list of keep(lo, block) over the row blocks in row order.
@@ -237,13 +239,17 @@ def ensemble_values(
 
     The set-up (factor, eigenvalues or prediction coefficients) is computed
     once per call. The rows are then drawn and transformed on the worker
-    pool, `block_rows(n + 1)` rows at a time from row 0, so the grid alone
-    fixes the blocks and no value depends on the thread count. Each worker
-    keeps one set of block buffers for all its blocks. Without keep, a
-    block is written straight into the result, so peak memory is the result
-    plus one block per worker. With keep, block is the (rows, n + 1) value
-    matrix of rows lo, lo + 1, ... in a worker's buffer, valid only during
-    the call: keep copies what it needs, and nothing else is kept.
+    pool, max(block_rows(n + 1), min_rows) rows at a time from row 0, so
+    the grid and min_rows alone fix the blocks and no value depends on the
+    thread count. Each worker keeps one set of block buffers for all its
+    blocks. Without keep, a block is written straight into the result, so
+    peak memory is the result plus one block per worker. With keep, block
+    is the (rows, n + 1) value matrix of rows lo, lo + 1, ... in a worker's
+    buffer, valid only during the call: keep copies or reduces what it
+    needs, and nothing else is kept. min_rows serves a consumer whose own
+    arithmetic wants blocks of at least that many rows (the isometry's
+    matrix products run at full BLAS speed from 128 rows); only the last
+    block may be shorter.
 
     Row i is drawn from its stream alone, so the first k rows of a larger
     ensemble are the k-path ensemble: bit for bit for circulant and
@@ -269,7 +275,7 @@ def ensemble_values(
         else:
             phis, v = hosking_coefficients(n, h)
             draws = n
-    rows = min(block_rows(n + 1), n_paths)
+    rows = min(max(block_rows(n + 1), min_rows), n_paths)
     out = None
     if keep is None:
         out = np.empty((n_paths, n + 1))

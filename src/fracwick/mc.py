@@ -99,11 +99,16 @@ class MonteCarloReport:
     verdict: bool
 
     @classmethod
-    def build(cls, name: str, estimate: float, oracle: float, stderr: float, n_paths: int) -> "MonteCarloReport":
+    def build(
+        cls, name: str, estimate: float, oracle: float, stderr: float, n_paths: int, scale: float = 1.0
+    ) -> "MonteCarloReport":
+        """Report of estimate against oracle. A gap within EXACT_REL_TOL of
+        max(scale, |estimate|, |oracle|) is rounding: scale is the size of
+        the terms that cancel in the estimate where the caller knows it,
+        and 1 where it does not."""
         if stderr < 0 or not np.isfinite(stderr):
             raise ValueError("stderr must be finite and >= 0")
-        scale = max(1.0, abs(estimate), abs(oracle))
-        if abs(estimate - oracle) <= EXACT_REL_TOL * scale:
+        if abs(estimate - oracle) <= EXACT_REL_TOL * max(scale, abs(estimate), abs(oracle)):
             # agreement at float-rounding scale is exact no matter how
             # small the error bar is (deterministic cases hit this)
             z = 0.0
@@ -122,10 +127,13 @@ class MonteCarloReport:
         )
 
     @classmethod
-    def from_samples(cls, name: str, samples: np.ndarray, oracle: float) -> "MonteCarloReport":
-        """Mean of iid per-path values against a fixed target."""
+    def from_samples(
+        cls, name: str, samples: np.ndarray, oracle: float, scale: float = 1.0
+    ) -> "MonteCarloReport":
+        """Mean of iid per-path values against a fixed target; scale as in
+        build."""
         s = np.asarray(samples, dtype=float).ravel()
-        return cls.build(name, fmean(s), float(oracle), sample_stderr(s), s.size)
+        return cls.build(name, fmean(s), float(oracle), sample_stderr(s), s.size, scale)
 
     @classmethod
     def from_paired(cls, name: str, lhs: np.ndarray, rhs: np.ndarray) -> "MonteCarloReport":

@@ -8,9 +8,9 @@ the RK4 stages).
 
 Every solver takes a batch of paths and steps or iterates all of them at
 once; one path is a batch of one. The stepping solvers (flow-euler,
-flow-rk4, direct-euler) run on time-major noise, one row per node, so a
-step reads and writes contiguous rows, and a path's solution depends only
-on that path's noise, bit for bit. Picard iterates a (paths x nodes) block
+flow-rk4) run on time-major noise, one row per node, so a step reads and
+writes contiguous rows, and a path's solution depends only on that path's
+noise, bit for bit. Picard iterates a (paths x nodes) block
 and stops each slab on the largest delta over the block's rows, so below
 tol a path's solution depends on the paths it shares a block with.
 `sde_mc_stats` solves an ensemble over a partition into row blocks that
@@ -31,7 +31,7 @@ from .grids import TimeGrid
 from .mc import MonteCarloReport, fmean, variance_stderr
 from .phicalc import PhiContext
 
-SOLVER_NAMES = ("flow-euler", "flow-rk4", "direct-euler", "picard")
+SOLVER_NAMES = ("flow-euler", "flow-rk4", "picard")
 
 # Contraction target per Picard slab: slab length chosen so slab * L <= this.
 _SLAB_CONTRACTION = 0.5
@@ -132,33 +132,13 @@ def _flow_rk4_core(spec: SdeSpec, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     return y
 
 
-def _direct_euler_core(spec: SdeSpec, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    x = np.empty_like(w)
-    x[0] = spec.x0
-    for k in range(t.size - 1):
-        dt = t[k + 1] - t[k]
-        rate = np.asarray(spec.drift(t[k], x[k]))
-        x[k + 1] = x[k] + dt * rate + spec.sigma * (w[k + 1] - w[k])
-        _check_finite(x[k + 1], "direct-euler", k + 1)
-    return x
-
-
 # The stepping solvers. Each core takes time-major noise, row k holding
 # every path's W at node k, so a step reads and writes contiguous rows; it
-# returns Y = X - sigma W for the flow solvers and X for direct-euler.
+# returns Y = X - sigma W.
 _STEPPERS = {
     "flow-euler": _flow_euler_core,
     "flow-rk4": _flow_rk4_core,
-    "direct-euler": _direct_euler_core,
 }
-
-
-def _x_and_y(solver: str, sigma: float, z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X and Y from the output z of a stepping core and the noise w at the
-    same entries, in either layout."""
-    if solver == "direct-euler":
-        return z, z - sigma * w
-    return z + sigma * w, z
 
 
 def solve_picard(spec: SdeSpec, grid: TimeGrid, w: np.ndarray, tol: float) -> SolverResult:
@@ -251,8 +231,8 @@ def solve(spec: SdeSpec, grid: TimeGrid, w: np.ndarray, solver: str, tol: float 
         return solve_picard(spec, grid, w, tol)
     if solver not in _STEPPERS:
         raise ValueError(f"unknown solver {solver!r}; pick one of {SOLVER_NAMES}")
-    z = _STEPPERS[solver](spec, grid.points, np.ascontiguousarray(w.T)).T
-    return SolverResult(*_x_and_y(solver, spec.sigma, z, w))
+    y = _STEPPERS[solver](spec, grid.points, np.ascontiguousarray(w.T)).T
+    return SolverResult(y + spec.sigma * w, y)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +329,11 @@ def sde_mc_stats(
             w[:, lo : lo + block.shape[0]] = block.T
 
         ensemble_values("circulant", grid, h, master_seed, n_paths, keep=fill)
-        z = _STEPPERS[solver](spec, grid.points, w)
-        x_cps, _ = _x_and_y(solver, spec.sigma, z[idx], w[idx])
+        y = _STEPPERS[solver](spec, grid.points, w)
+        x_cps = y[idx] + spec.sigma * w[idx]
         # copies, so that the (nodes x paths) arrays die on return
-        w0 = w[:, 0].copy()
-        path0 = (*_x_and_y(solver, spec.sigma, z[:, 0].copy(), w0), w0)
+        y0, w0 = y[:, 0].copy(), w[:, 0].copy()
+        path0 = (y0 + spec.sigma * w0, y0, w0)
     reports = []
     for samples, t, mu, var in zip(x_cps, cps, means_oracle, vars_oracle):
         centered = samples - fmean(samples)

@@ -8,14 +8,17 @@ cap and library versions and is the one file excluded from that guarantee.
 
 Every suite samples through `fbm.ensemble_values`, which draws row blocks
 of a partition fixed by the grid on the worker pool, so no artifact
-depends on the thread count. generate streams each generator's blocks and
-keeps W_T, the rows of its CSV and the heatmap's columns, never the whole
-ensemble. verify-ito, verify-product-rule, verify-wentzell, girsanov and
-isometry share one runner: it samples one circulant ensemble matrix and
-runs the suite's list of checks, thunks that each reduce it to a
-MonteCarloReport, on the worker pool; the report rows keep the order of
-the list. solve-sde hands sampling and solving to `sde.sde_mc_stats`, and
-converge samples its finest rung in `verify.convergence_study`.
+depends on the thread count, and no suite holds the whole ensemble.
+generate streams each generator's blocks and keeps W_T, the rows of its
+CSV and the heatmap's columns. verify-ito, verify-product-rule,
+verify-wentzell, girsanov and isometry share one runner: it builds the
+suite's grid-level set-up once (the cases, the isometry's kernels), then
+runs every check on each circulant row block as it is drawn
+(`verify.streamed_values`), keeps the per-path values, and reduces them,
+joined in row order, to one MonteCarloReport per check; the report rows
+keep the order of the checks. solve-sde hands sampling and solving to
+`sde.sde_mc_stats`, and converge streams its finest rung through
+`verify.convergence_study`, restricting each block to every rung.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +39,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, GridMismatchError, VarianceOverflowError
 from .fbm import HurstParameter, empirical_covariance, ensemble_values
 from .grids import TimeGrid, format_float, write_ensemble_csv
-from .mc import MonteCarloReport
+from .mc import MonteCarloReport, fmean
 from .phicalc import PhiContext
 from .pool import run_tasks, thread_count
 from .sde import fou_oracle, make_fou, sde_mc_stats
@@ -45,12 +49,15 @@ from .verify import (
     case_registry,
     convergence_study,
     exponential_mean_report,
+    girsanov_block,
     girsanov_case_registry,
     girsanov_check,
     halves,
+    residual_block,
     residuals,
+    streamed_values,
 )
-from .wick import isometry_check, isometry_kernels
+from .wick import _FORM_ROWS, exponential_block, isometry_check, isometry_kernels
 from .functions import CylinderFunction
 
 REPORT_HEADER = [
@@ -178,30 +185,59 @@ def _case_names(cfg: ExperimentConfig, registry: dict, default: tuple[str, ...] 
     return list(cfg.cases or default or registry)
 
 
+class _Check(NamedTuple):
+    """One report row: the per-path values of a row block (an array whose
+    last axis runs over the block's rows), and the report of those values
+    joined over every block in row order."""
+
+    values: Callable[[np.ndarray], np.ndarray]
+    report: Callable[[np.ndarray], MonteCarloReport]
+
+
 def _residual_checks(family: str, default: tuple[str, ...] | None = None):
-    def checks(cfg, ctx, grid, w):
+    def checks(cfg, ctx, grid):
         registry = case_registry(family, cfg.horizon)
-        return [
-            lambda name=name: MonteCarloReport.from_samples(
-                f"{family}:{name}", residuals(family, registry[name], w, ctx, grid), 0.0
+
+        def check(name: str) -> _Check:
+            # each residual is judged against the size of the terms that
+            # cancel in it, the second row of its per-path values
+            case = registry[name]
+            block = residual_block(family, case, ctx, grid)
+            return _Check(
+                lambda wb: residuals(family, case, wb, ctx, grid, block),
+                lambda v: MonteCarloReport.from_samples(f"{family}:{name}", v[0], 0.0, scale=fmean(v[1])),
             )
-            for name in _case_names(cfg, registry, default)
-        ]
+
+        return [check(name) for name in _case_names(cfg, registry, default)]
 
     return checks
 
 
-def _girsanov_checks(cfg, ctx, grid, w):
+def _paired(name: str):
+    return lambda v: MonteCarloReport.from_paired(name, v[0], v[1])
+
+
+def _girsanov_checks(cfg, ctx, grid):
     registry = girsanov_case_registry(cfg.horizon)
-    thunks = [
-        lambda name=name: girsanov_check(*registry[name], w, ctx, grid=grid, name=f"girsanov:{name}")
-        for name in _case_names(cfg, registry)
-    ]
+
+    def check(name: str) -> _Check:
+        label = f"girsanov:{name}"
+        fn, g = registry[name]
+        block = girsanov_block(fn, g, ctx, grid)
+        return _Check(
+            lambda wb: girsanov_check(fn, g, wb, ctx, grid=grid, name=label, block=block), _paired(label)
+        )
+
     unit = StepFunction.constant(1.0, cfg.horizon)
-    return thunks + [lambda: exponential_mean_report(unit, w, ctx, grid=grid)]
+    eps = exponential_block(unit, ctx, grid)
+    mean_one = _Check(
+        lambda wb: exponential_mean_report(unit, wb, ctx, grid=grid, block=eps),
+        lambda v: MonteCarloReport.from_samples("exponential-mean-one", v, 1.0),
+    )
+    return [check(name) for name in _case_names(cfg, registry)] + [mean_one]
 
 
-def _isometry_checks(cfg, ctx, grid, w):
+def _isometry_checks(cfg, ctx, grid):
     integrands = {
         "step-const": StepFunction.constant(1.0, cfg.horizon),
         "step-halves": halves(cfg.horizon),
@@ -210,25 +246,33 @@ def _isometry_checks(cfg, ctx, grid, w):
         "w2": CylinderFunction.monomial(2),
     }
     kernels = isometry_kernels(grid, ctx)
-    return [
-        lambda name=name, f=f: isometry_check(f, w, ctx, grid=grid, name=f"isometry:{name}", kernels=kernels)
-        for name, f in integrands.items()
-    ]
+
+    def check(name: str) -> _Check:
+        label, f = f"isometry:{name}", integrands[name]
+        return _Check(
+            lambda wb: isometry_check(f, wb, ctx, grid=grid, name=label, kernels=kernels), _paired(label)
+        )
+
+    return [check(name) for name in integrands]
 
 
-def _shared_ensemble_suite(checks):
+def _streamed_suite(checks, min_rows: int = 1):
     """Runner of a suite whose checks all read one circulant ensemble.
 
-    checks(cfg, ctx, grid, w) returns the suite's report thunks; they run
-    on the worker pool and their reports keep the order of the list.
+    checks(cfg, ctx, grid) builds the suite's grid-level set-up and returns
+    its _Check list; every check then runs on each row block as the sampler
+    draws it (`verify.streamed_values`), and the report rows keep the order
+    of the list.
     """
 
     def run(cfg: ExperimentConfig, outdir: str):
         h = HurstParameter(cfg.hurst)
         grid = TimeGrid.uniform(cfg.grid_n, cfg.horizon)
-        w = ensemble_values("circulant", grid, h, cfg.master_seed, cfg.n_paths)
-        reports = run_tasks(checks(cfg, PhiContext(h), grid, w))
-        return [(cfg.grid_n, r) for r in reports], []
+        suite_checks = checks(cfg, PhiContext(h), grid)
+        values = streamed_values(
+            grid, h, cfg.master_seed, cfg.n_paths, [c.values for c in suite_checks], min_rows
+        )
+        return [(cfg.grid_n, c.report(v)) for c, v in zip(suite_checks, values)], []
 
     return run
 
@@ -310,11 +354,12 @@ _SUITE_RUNNERS = {
     # verify-ito defaults to the cases whose expectation vanishes on a fixed
     # grid; tx2 and x4 carry a deterministic O(1/n) offset and belong to
     # converge (asked for by name here, they report that bias honestly)
-    "verify-ito": _shared_ensemble_suite(_residual_checks("ito", ITO_MEAN_ZERO_CASES)),
-    "verify-product-rule": _shared_ensemble_suite(_residual_checks("product-rule")),
-    "verify-wentzell": _shared_ensemble_suite(_residual_checks("wentzell")),
-    "girsanov": _shared_ensemble_suite(_girsanov_checks),
-    "isometry": _shared_ensemble_suite(_isometry_checks),
+    "verify-ito": _streamed_suite(_residual_checks("ito", ITO_MEAN_ZERO_CASES)),
+    "verify-product-rule": _streamed_suite(_residual_checks("product-rule")),
+    "verify-wentzell": _streamed_suite(_residual_checks("wentzell")),
+    "girsanov": _streamed_suite(_girsanov_checks),
+    # the isometry's dense forms run at full BLAS speed from _FORM_ROWS rows
+    "isometry": _streamed_suite(_isometry_checks, _FORM_ROWS),
     "solve-sde": _suite_solve_sde,
     "converge": _suite_converge,
 }

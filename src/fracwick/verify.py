@@ -25,12 +25,20 @@ for all paths. A zero factor is skipped rather than evaluated because
 evaluating it costs a paths x cells product and row sum for a term that is
 exactly 0, while skipping x + 0 leaves every other sum with the same bits.
 
+Each residual function returns, next to the per-path residual, the
+per-path magnitude of the terms that cancel in it, so that a residual at
+rounding level is judged against their size and not against 1.
+
 The residual families are named in RESIDUAL_NAMES; case_registry(name)
 gives a family's cases and residuals(name, ...) is the one dispatch from a
 family to its residual function, used by the suites and the ladders alike.
-It calls ito_residuals, product_rule_residuals and wentzell_residuals by
-their module-global names at call time, so that a wrapper installed on
-those attributes (a profiler's span, a test's spy) sees every case.
+The suites stream the ensemble (`streamed_values`), so the dispatch runs
+once per case and row block. It calls ito_residuals,
+product_rule_residuals and wentzell_residuals by their module-global names
+at call time, and the suites call girsanov_check, exponential_mean_report
+and `wick.isometry_check` per block through their module attributes as
+well, so that a wrapper installed on those attributes (a profiler's span,
+a test's spy) sees every case and every block.
 """
 from __future__ import annotations
 
@@ -38,17 +46,18 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import UnsupportedCaseError
-from .fbm import _by_row_blocks, ensemble_values
+from .fbm import HurstParameter, _by_row_blocks, ensemble_values
 from .functions import CylinderFunction, SpaceTimeFunction
 from .grids import TimeGrid
-from .mc import EXACT_REL_TOL, MonteCarloReport, fsum
+from .mc import EXACT_REL_TOL, fmean, fsum
 from .phicalc import PhiContext
 from .stepfn import StepFunction
-from .wick import _step_levels_on_path, exponential_functional
+from .wick import _step_levels_on_path, exponential_block
 
 # Cost cap in path-matrix cells: paths times total cells across the rungs
 # of a convergence ladder, and paths times grid points for every other suite.
@@ -180,6 +189,16 @@ def _per_path(values, wb: np.ndarray) -> np.ndarray:
     return np.broadcast_to(values, wb.shape[:1])
 
 
+def _balance(wb: np.ndarray, end, start, *terms) -> np.ndarray:
+    """Rows (end - start) - sum(terms) and |end| + |start| + sum |terms|, one
+    value per row of the block wb: a residual and the size of the terms
+    that cancel in it, against which its rounding is judged. The terms are
+    added in their order, so a residual keeps the bits of that sum."""
+    residual = (end - start) - functools.reduce(operator.add, terms)
+    magnitude = functools.reduce(operator.add, map(abs, terms), abs(end) + abs(start))
+    return np.stack((_per_path(residual, wb), _per_path(magnitude, wb)))
+
+
 def _partials(f: SpaceTimeFunction):
     """f, f_x and f_xx as functions of (s, x). A polynomial field is
     evaluated from its recorded coefficients, so that its zero and
@@ -210,10 +229,17 @@ class ItoCase:
     label: str = ""
 
 
-def ito_residuals(case: ItoCase, w: np.ndarray, ctx: PhiContext, grid: TimeGrid) -> np.ndarray:
-    """Per-path residual of the change-of-variable identity: the noise
-    sum, the exact drift and the half-cell compensator sum f_xx a^2 dt^2H / 2;
-    the Wick correction of the noise sum cancels the curvature's lower kernel."""
+def ito_residuals(
+    case: ItoCase, w: np.ndarray, ctx: PhiContext, grid: TimeGrid, block: Callable | None = None
+) -> np.ndarray:
+    """Per-path residual of the change-of-variable identity, and its
+    magnitude (`_balance`): the noise sum, the exact drift and the half-cell
+    compensator sum f_xx a^2 dt^2H / 2; the Wick correction of the noise
+    sum cancels the curvature's lower kernel. block is as in `residuals`."""
+    return _by_row_blocks(w, block or _ito_block(case, ctx, grid))
+
+
+def _ito_block(case: ItoCase, ctx: PhiContext, grid: TimeGrid):
     t = grid.points
     a_lv = np.ones(grid.n_intervals) if case.a is None else _step_levels_on_path(case.a, grid)
     curvature_weights = a_lv * a_lv * (0.5 * grid.spacings ** (2.0 * ctx.h))
@@ -231,7 +257,7 @@ def ito_residuals(case: ItoCase, w: np.ndarray, ctx: PhiContext, grid: TimeGrid)
             eta[:, 0] = 0.0
             np.cumsum(a_dw, axis=1, out=eta[:, 1:])
         left_x = eta[:, :-1]
-        lhs = f_value(t[-1], eta[:, -1]) - f_start
+        end = f_value(t[-1], eta[:, -1])
         noise_term = _row_sums(f_dx(left_t, left_x), a_dw)
         # the exact integral of d f / ds over each cell, x frozen; it
         # vanishes identically for a time-independent field
@@ -241,9 +267,9 @@ def ito_residuals(case: ItoCase, w: np.ndarray, ctx: PhiContext, grid: TimeGrid)
             else 0.0
         )
         curvature_term = _row_sums(f_dxx(left_t, left_x), curvature_weights)
-        return _per_path(lhs - (noise_term + drift_term + curvature_term), wb)
+        return _balance(wb, end, f_start, noise_term, drift_term, curvature_term)
 
-    return _by_row_blocks(w, block)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +283,21 @@ def product_rule_residuals(
     w: np.ndarray,
     ctx: PhiContext,
     grid: TimeGrid,
+    block: Callable | None = None,
 ) -> np.ndarray:
-    """Per-path residual of d(XY) = X dY + Y dX + cross phi-derivative terms.
+    """Per-path residual of d(XY) = X dY + Y dX + cross phi-derivative
+    terms, and its magnitude (`_balance`).
 
     The Wick corrections of X dY and Y dX cancel the lower kernels of the
     cross terms, which leaves sum 2 b_x b_y dt^2H / 2. A sum whose
     coefficient is identically zero is not built; a drive whose diffusion
     is identically zero is one time row for every path, and one whose
-    drift is too is the number x0.
+    drift is too is the number x0. block is as in `residuals`.
     """
+    return _by_row_blocks(w, block or _product_rule_block(x_case, y_case, ctx, grid))
+
+
+def _product_rule_block(x_case: DriveSpec, y_case: DriveSpec, ctx: PhiContext, grid: TimeGrid):
     dt = grid.spacings
     ax, bx = _cell_levels(x_case.drift, grid), _cell_levels(x_case.diffusion, grid)
     ay, by = _cell_levels(y_case.drift, grid), _cell_levels(y_case.diffusion, grid)
@@ -293,10 +325,9 @@ def product_rule_residuals(
         y_dx = (_row_sums(yl + yr, half_ax_dt) if ax.any() else 0.0) + (
             _row_sums(yl, bx_dw) if bx_dw is not None else 0.0
         )
-        lhs = x_end * y_end - start
-        return _per_path(lhs - (x_dy + y_dx + cross), wb)
+        return _balance(wb, x_end * y_end, start, x_dy, y_dx, cross)
 
-    return _by_row_blocks(w, block)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +373,11 @@ class WentzellCase:
         )
 
 
-def wentzell_residuals(case: WentzellCase, w: np.ndarray, ctx: PhiContext, grid: TimeGrid) -> np.ndarray:
-    """Per-path residual of the composition identity.
+def wentzell_residuals(
+    case: WentzellCase, w: np.ndarray, ctx: PhiContext, grid: TimeGrid, block: Callable | None = None
+) -> np.ndarray:
+    """Per-path residual of the composition identity, and its magnitude
+    (`_balance`).
 
     Of its eight right-hand terms, the Wick corrections of the two noise
     sums cancel the lower kernels of the curvature and the two cross
@@ -355,8 +389,13 @@ def wentzell_residuals(case: WentzellCase, w: np.ndarray, ctx: PhiContext, grid:
     F_xx come from the recorded coefficients by Horner's rule in x. A term
     is built only if its factor and its drive level are not identically
     zero; X is built only if some polynomial has degree 1 or more, and is a
-    time row when the diffusion is identically zero.
+    time row when the diffusion is identically zero. block is as in
+    `residuals`.
     """
+    return _by_row_blocks(w, block or _wentzell_block(case, ctx, grid))
+
+
+def _wentzell_block(case: WentzellCase, ctx: PhiContext, grid: TimeGrid):
     polys = (case.f0.coeffs, case.g.coeffs, case.h.coeffs)
     if None in polys:
         raise UnsupportedCaseError("the field family needs polynomial f0, g and h")
@@ -388,7 +427,7 @@ def wentzell_residuals(case: WentzellCase, w: np.ndarray, ctx: PhiContext, grid:
         x_left, x_right, x_end = _drive(drive.x0, a_dt, b_dw) if reads_x else (None,) * 3
         left = (1.0, tl, wb[:, :-1])
         f_dx = _field(dx, left, x_left)
-        lhs = _field(polys, (1.0, t[-1], wb[:, -1]), x_end) - start
+        end = _field(polys, (1.0, t[-1], wb[:, -1]), x_end)
         # Ordinary dt integrals use the trapezoid rule (exact for the affine
         # family); only the dW sums are pinned to left endpoints.
         drift_term = (
@@ -407,17 +446,19 @@ def wentzell_residuals(case: WentzellCase, w: np.ndarray, ctx: PhiContext, grid:
         )
         field_noise_term = _row_sums(_field((h,), one, x_left), dw) if h else 0.0
         cross_term = _row_sums(_field((h_dx,), one, x_left), cross_weights) if noisy and h_dx else 0.0
-        rhs = (
-            drift_term
-            + noise_term
-            + curvature_term
-            + field_drift_term
-            + field_noise_term
-            + cross_term
+        return _balance(
+            wb,
+            end,
+            start,
+            drift_term,
+            noise_term,
+            curvature_term,
+            field_drift_term,
+            field_noise_term,
+            cross_term,
         )
-        return _per_path(lhs - rhs, wb)
 
-    return _by_row_blocks(w, block)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -440,28 +481,107 @@ def girsanov_check(
     ctx: PhiContext,
     grid: TimeGrid,
     name: str | None = None,
-) -> MonteCarloReport:
-    """Shifted-path expectation against the reweighted one, common noise.
+    block: Callable | None = None,
+) -> np.ndarray:
+    """Shifted-path expectation against the reweighted one, common noise:
+    the (2, paths) rows of both sides, per path, for a paired comparison.
 
     Left: fn at W_T + shift(T) with shift the exact antiderivative of the
     kernel transform of g. Right: fn at W_T times the mean-one exponential
-    of g. Reported as a paired z-score; g = 0 gives z = 0 exactly.
+    of g; g = 0 makes the two rows equal. name labels the check for a
+    profiler's span; its report carries the name. block, when given, is
+    girsanov_block(fn, g_fn, ctx, grid), built once for the many row blocks
+    of a streamed ensemble; otherwise the call builds it.
     """
+    return (block or girsanov_block(fn, g_fn, ctx, grid))(w)
+
+
+def girsanov_block(
+    fn: CylinderFunction, g_fn: StepFunction, ctx: PhiContext, grid: TimeGrid
+) -> Callable[[np.ndarray], np.ndarray]:
+    """girsanov_check as a function of a row block of paths on grid, with
+    the shift and the exponential's set-up computed once for all blocks."""
     shift = drift_shift_at(g_fn, grid.horizon, ctx)
-    eps = exponential_functional(g_fn, w, ctx, grid)
-    w_t = w[:, -1]
-    lhs = fn.value(w_t + shift)
-    rhs = fn.value(w_t) * eps
-    label = name or f"girsanov:{fn.description}"
-    return MonteCarloReport.from_paired(label, lhs, rhs)
+    eps = exponential_block(g_fn, ctx, grid)
+
+    def block(wb: np.ndarray) -> np.ndarray:
+        w_t = wb[:, -1]
+        return np.stack((fn.value(w_t + shift), fn.value(w_t) * eps(wb)))
+
+    return block
 
 
 def exponential_mean_report(
-    g_fn: StepFunction, w: np.ndarray, ctx: PhiContext, grid: TimeGrid
-) -> MonteCarloReport:
-    """Sample mean of the exponential functional against its exact mean 1."""
-    eps = exponential_functional(g_fn, w, ctx, grid)
-    return MonteCarloReport.from_samples("exponential-mean-one", eps, 1.0)
+    g_fn: StepFunction, w: np.ndarray, ctx: PhiContext, grid: TimeGrid, block: Callable | None = None
+) -> np.ndarray:
+    """Per-path exponential functional of g, whose exact mean is 1; block,
+    when given, is `wick.exponential_block(g_fn, ctx, grid)`."""
+    return (block or exponential_block(g_fn, ctx, grid))(w)
+
+
+# ---------------------------------------------------------------------------
+# checks streamed over the ensemble's row blocks
+# ---------------------------------------------------------------------------
+
+
+# glibc serves a request above its mmap threshold (128 KiB at start) from a
+# fresh mapping, and hands a heap's free top back to the system once it
+# exceeds the trim threshold. Freeing a mapped chunk above the mmap
+# threshold raises that threshold to the chunk's size, up to 32 MiB, and
+# the trim threshold to twice as much. A check's row-block temporaries die
+# between blocks while the sampler's per-worker block buffers live on, so
+# with the thresholds low the temporaries are mapped, or the heap trimmed,
+# and faulted in again at every block: the verify-ito child at 4096 x 2000
+# took 214k minor faults, against 8.5k once one chunk of this size was
+# mapped and freed before the first block. The chunk is never written, so
+# it costs no resident memory, and it bypasses Python's allocators, which
+# would count its address space as traced memory.
+_THRESHOLD_CHUNK = 16 * 2**20
+
+
+def _lift_heap_thresholds() -> None:
+    import ctypes  # here, so that suites which stream no checks never load it
+
+    try:
+        libc = ctypes.CDLL(None)
+        libc.malloc.restype = ctypes.c_void_p
+        libc.malloc.argtypes = (ctypes.c_size_t,)
+        libc.free.argtypes = (ctypes.c_void_p,)
+    except (OSError, TypeError, AttributeError):
+        return  # no C allocator to reach; the checks only fault more
+    libc.free(libc.malloc(_THRESHOLD_CHUNK))
+
+
+def streamed_values(
+    grid: TimeGrid,
+    hurst: HurstParameter,
+    master_seed: int,
+    n_paths: int,
+    checks: list[Callable[[np.ndarray], np.ndarray]],
+    min_rows: int = 1,
+) -> list[np.ndarray]:
+    """Per-path values of every check over a circulant ensemble that is
+    never held whole.
+
+    Each check maps a row block of path values (rows = paths, columns =
+    grid nodes) to an array whose last axis runs over the block's rows.
+    `fbm.ensemble_values` hands every block to every check in turn, on the
+    worker pool, in blocks of at least min_rows rows; the values are then
+    joined in row order, one array per check. A check that reduces only
+    along a row gives the values of one call on the whole matrix, bit for
+    bit, whatever the blocking.
+    """
+    _lift_heap_thresholds()
+    parts = ensemble_values(
+        "circulant",
+        grid,
+        hurst,
+        master_seed,
+        n_paths,
+        keep=lambda lo, wb: [check(wb) for check in checks],
+        min_rows=min_rows,
+    )
+    return [np.concatenate(values, axis=-1) for values in zip(*parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +593,10 @@ def exponential_mean_report(
 class ConvergenceTable:
     """RMS residual per grid size plus the fitted log-log slope.
 
-    A ladder whose every rung is at rounding level (rms <= EXACT_REL_TOL,
-    against residual terms of order one) is exact: the identity holds per
-    path on every grid, there is no rate to fit, and slope is nan.
+    A ladder whose every rung is at rounding level (rms within
+    EXACT_REL_TOL of the mean magnitude of the terms that cancel in the
+    residual) is exact: the identity holds per path on every grid, there
+    is no rate to fit, and slope is nan.
     """
 
     residual_name: str
@@ -489,15 +610,35 @@ class ConvergenceTable:
         return list(zip(self.grid_sizes, self.rms))
 
 
-def residuals(name: str, case, w: np.ndarray, ctx: PhiContext, grid: TimeGrid) -> np.ndarray:
-    """Per-path residuals of one case of the named family; the case goes
-    first, and the family's function is looked up by name at call time."""
+def residuals(
+    name: str, case, w: np.ndarray, ctx: PhiContext, grid: TimeGrid, block: Callable | None = None
+) -> np.ndarray:
+    """Per-path residuals of one case of the named family and their
+    magnitudes, the rows of a (2, paths) array; the case goes first, and
+    the family's function is looked up by name at call time.
+
+    block, when given, is residual_block(name, case, ctx, grid): the
+    residual's grid-level set-up, built once for the many row blocks of a
+    streamed ensemble; otherwise the call builds it.
+    """
     if name == "ito":
-        return ito_residuals(case, w, ctx, grid=grid)
+        return ito_residuals(case, w, ctx, grid=grid, block=block)
     if name == "product-rule":
-        return product_rule_residuals(*case, w, ctx, grid=grid)
+        return product_rule_residuals(*case, w, ctx, grid=grid, block=block)
     if name == "wentzell":
-        return wentzell_residuals(case, w, ctx, grid=grid)
+        return wentzell_residuals(case, w, ctx, grid=grid, block=block)
+    raise UnsupportedCaseError(f"unknown residual {name!r}; known: {RESIDUAL_NAMES}")
+
+
+def residual_block(name: str, case, ctx: PhiContext, grid: TimeGrid) -> Callable[[np.ndarray], np.ndarray]:
+    """The function from a row block of paths on grid to its residuals and
+    their magnitudes, for one case of the named family."""
+    if name == "ito":
+        return _ito_block(case, ctx, grid)
+    if name == "product-rule":
+        return _product_rule_block(*case, ctx, grid)
+    if name == "wentzell":
+        return _wentzell_block(case, ctx, grid)
     raise UnsupportedCaseError(f"unknown residual {name!r}; known: {RESIDUAL_NAMES}")
 
 
@@ -535,19 +676,24 @@ def convergence_study(
 
     All rungs see restrictions of the same paths sampled at the finest
     grid, so rung-to-rung differences are pure discretization, not noise.
+    The fine paths are streamed: each row block is restricted to every
+    rung in the same pass.
     """
     sizes = ladder_sizes(grid_sizes, n_paths)
     n_max = sizes[-1]
     fine_grid = TimeGrid.uniform(n_max, horizon)
-    w_fine = ensemble_values("circulant", fine_grid, ctx.hurst, master_seed, n_paths)
-    rms: list[float] = []
-    for n in sizes:
+
+    def rung(n: int):
         stride = n_max // n
-        sub = w_fine[:, ::stride]
         sub_grid = TimeGrid(fine_grid.points[::stride])
-        res = residuals(residual_name, case, sub, ctx, sub_grid)
+        block = residual_block(residual_name, case, ctx, sub_grid)
+        return lambda wb: residuals(residual_name, case, wb[:, ::stride], ctx, sub_grid, block)
+
+    rms, scales = [], []
+    for res, magnitude in streamed_values(fine_grid, ctx.hurst, master_seed, n_paths, [rung(n) for n in sizes]):
         rms.append(math.sqrt(fsum(res * res) / res.size))
-    exact = all(r <= EXACT_REL_TOL for r in rms)
+        scales.append(fmean(magnitude))
+    exact = all(r <= EXACT_REL_TOL * scale for r, scale in zip(rms, scales))
     slope = math.nan if exact else float(np.polyfit(np.log(sizes), np.log(rms), 1)[0])
     name = residual_name if not getattr(case, "label", "") else f"{residual_name}:{case.label}"
     return ConvergenceTable(

@@ -15,15 +15,20 @@ the same constant on every path and cell is a kernel sum times that
 constant squared, so a polynomial integrand of degree 0 needs no dense form
 and one of degree 1 needs only the one of h(W).
 
-Every integral takes the ensemble as a (paths x nodes) matrix of noise
-values on a grid and returns one value per row; one path is a one-row
-matrix. The per-path integrals are evaluated over fixed row blocks of that
-matrix, so no temporary is larger than a block. Every row reduction runs
-along a row, so the integrals do not depend on the blocking bit for bit;
-only the isometry's dense forms, matrix products whose accumulation order
-the BLAS picks from the block's row count, may move at rounding level.
+Every integral takes a row block of noise paths, a (paths x nodes) matrix
+on a grid, and returns one value per row; one path is a one-row block. The
+suites stream the ensemble through them one sampler block at a time
+(`verify.streamed_values`), so no check sees the whole ensemble, and a
+larger block is evaluated over fixed row blocks of its own, so no
+temporary is larger than a block. Every reduction runs along a row, so the
+integrals do not depend on the blocking bit for bit; only the isometry's
+dense forms, matrix products whose accumulation order the BLAS picks from
+the block's row count, may move at rounding level, and the isometry
+streams blocks of at least _FORM_ROWS rows, the blocking of its forms.
 """
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +36,6 @@ from .errors import GridMismatchError
 from .fbm import _BLOCK_CELLS, _by_row_blocks, covariance_grid
 from .functions import CylinderFunction
 from .grids import TimeGrid
-from .mc import MonteCarloReport
 from .phicalc import PhiContext, _second_difference, phi_norm_sq
 from .stepfn import StepFunction
 
@@ -72,7 +76,11 @@ def wick_integral_deterministic(f: StepFunction, w: np.ndarray, grid: TimeGrid) 
     For deterministic integrands the Wick correction vanishes, so this is
     the plain left-endpoint sum; its law is exactly N(0, ||f||^2_phi).
     """
-    levels = _step_levels_on_path(f, grid)
+    return _noise_sums(_step_levels_on_path(f, grid), w)
+
+
+def _noise_sums(levels: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i levels_i dW_i per row of w."""
     return _by_row_blocks(w, lambda wb: (levels * np.diff(wb, axis=1)).sum(axis=1))
 
 
@@ -97,26 +105,46 @@ def exponential_functional(
 ) -> np.ndarray:
     """exp( integral of f dW - ||f||^2_phi / 2 ) per row, mean-one by
     construction; refused when ||f||^2_phi exceeds MAX_NORM_SQ."""
+    return exponential_block(f, ctx, grid)(w)
+
+
+def exponential_block(f: StepFunction, ctx: PhiContext, grid: TimeGrid) -> Callable[[np.ndarray], np.ndarray]:
+    """exponential_functional as a function of a row block of paths on
+    grid, with the norm and the step levels computed once for all blocks."""
     norm_sq = phi_norm_sq(f, ctx)
     if norm_sq > MAX_NORM_SQ:
         raise ValueError(
             f"||f||^2_phi = {norm_sq:.3e} exceeds the overflow guard {MAX_NORM_SQ}"
         )
-    return np.exp(wick_integral_deterministic(f, w, grid) - 0.5 * norm_sq)
+    levels = _step_levels_on_path(f, grid)
+    return lambda wb: np.exp(_noise_sums(levels, wb) - 0.5 * norm_sq)
 
 
-def isometry_kernels(grid: TimeGrid, ctx: PhiContext) -> tuple[np.ndarray, np.ndarray]:
-    """(Gamma, A o A^T), the n x n kernels of the cylinder isometry's forms.
+class IsometryKernels(NamedTuple):
+    """Gamma and A o A^T, the n x n kernels of the cylinder isometry's
+    forms, with their sums, which are all a form with a constant factor
+    needs."""
+
+    gamma: np.ndarray
+    cross: np.ndarray
+    gamma_sum: float
+    cross_sum: float
+
+
+def isometry_kernels(grid: TimeGrid, ctx: PhiContext) -> IsometryKernels:
+    """The kernels of the cylinder isometry's forms on grid.
 
     Gamma_ij = Cov(dW_i, dW_j) is the phi rectangle matrix and A_ij =
     R(t_i, t_{j+1}) - R(t_i, t_j) = Cov(W_i, dW_j). Neither depends on the
-    integrand, so a suite builds them once for all its checks.
+    integrand or the paths, so a suite builds them, and their sums, once
+    for all its checks and row blocks.
     """
     r = covariance_grid(grid.points, ctx.hurst)
     gamma = _second_difference(r)
     a = r[:-1, 1:] - r[:-1, :-1]
     del r  # so that at most three n x n arrays are alive at once
-    return gamma, a * a.T
+    cross = a * a.T
+    return IsometryKernels(gamma, cross, gamma.sum(), cross.sum())
 
 
 def isometry_check(
@@ -125,35 +153,37 @@ def isometry_check(
     ctx: PhiContext,
     grid: TimeGrid,
     name: str | None = None,
-    kernels: tuple[np.ndarray, np.ndarray] | None = None,
-) -> MonteCarloReport:
-    """Second-moment identity for the Wick integral over [0, T].
+    kernels: IsometryKernels | None = None,
+) -> np.ndarray:
+    """Second-moment identity for the Wick integral over [0, T]: the
+    (2, paths) rows of both sides, per path, for a paired comparison.
 
     Left side: per-path squared integral. For h(W) it is S^2 with
     S = sum_i h(W_i) dW_i - h'(W_i) A_ii, exactly the divergence of
     sum_i h(W_i) 1_(t_i, t_{i+1}], so the divergence isometry holds on the
     grid: E[S^2] = E[f.Gamma.f + d.(A o A^T).d], f = h(W_left), d = h'(W_left),
     with the kernels of `isometry_kernels`. The right side is that per-path
-    form, or ||f||^2_phi for a step f. Compared pairwise.
+    form, or ||f||^2_phi for a step f. name labels the check for a
+    profiler's span; its report carries the name.
 
     kernels, when given, is isometry_kernels(grid, ctx), shared between
-    checks; otherwise the check builds it. A polynomial h of recorded degree
+    checks and row blocks; otherwise the call builds it. A polynomial h of recorded degree
     0 has constant f = c and zero d, so its right side is c^2 sum(Gamma);
     one of degree 1 has constant d = h' and its d form is h'^2 sum(A o A^T).
     Any other form is dense. Both sides are evaluated over row blocks of at
-    least _FORM_ROWS rows: the left side and its estimate keep their bits
-    whatever the blocking, while the dense forms, and so the oracle, may
-    move at rounding level.
+    least _FORM_ROWS rows: the left side keeps its bits whatever the
+    blocking, while the dense forms, matrix products whose accumulation
+    order the BLAS picks from the block's row count, may move at rounding
+    level; so a caller that streams blocks of at least _FORM_ROWS rows
+    gets the bits of one call on the whole matrix.
     """
     if isinstance(integrand, StepFunction):
         lhs = wick_integral_deterministic(integrand, w, grid) ** 2
-        rhs = np.full(lhs.shape, phi_norm_sq(integrand, ctx))
-        label = name or "isometry:step"
-        return MonteCarloReport.from_paired(label, lhs, rhs)
-    gamma, cross_kernel = isometry_kernels(grid, ctx) if kernels is None else kernels
+        return np.stack((lhs, np.full(lhs.shape, phi_norm_sq(integrand, ctx))))
+    gamma, cross_kernel, gamma_sum, cross_sum = isometry_kernels(grid, ctx) if kernels is None else kernels
     degree, origin = integrand.degree, np.zeros(1)
-    f_sum = integrand.value(origin)[0] ** 2 * gamma.sum() if degree == 0 else None
-    d_sum = integrand.deriv(origin)[0] ** 2 * cross_kernel.sum() if degree in (0, 1) else None
+    f_sum = integrand.value(origin)[0] ** 2 * gamma_sum if degree == 0 else None
+    d_sum = integrand.deriv(origin)[0] ** 2 * cross_sum if degree in (0, 1) else None
 
     def form(factor, kernel, constant, left):
         if constant is not None:
@@ -168,7 +198,4 @@ def isometry_check(
         rhs += form(integrand.deriv, cross_kernel, d_sum, left)
         return np.stack(((raw - corr) ** 2, rhs))
 
-    rows = max(_FORM_ROWS, _BLOCK_CELLS // w.shape[1])
-    lhs, rhs = _by_row_blocks(w, block, rows)
-    label = name or f"isometry:{integrand.description}"
-    return MonteCarloReport.from_paired(label, lhs, rhs)
+    return _by_row_blocks(w, block, max(_FORM_ROWS, _BLOCK_CELLS // w.shape[1]))

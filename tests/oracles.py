@@ -357,7 +357,8 @@ def flow_rk4_row_major(spec, t: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def direct_euler_row_major(spec, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     """X of the Euler scheme on the equation itself, on a (paths x nodes)
-    noise matrix."""
+    noise matrix: the independent oracle of flow-euler, which steps the
+    random ODE of Y = X - sigma W instead."""
     x = np.empty_like(w)
     x[:, 0] = spec.x0
     dw = np.diff(w, axis=1)

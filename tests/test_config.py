@@ -141,8 +141,8 @@ def _no_draws(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("the ensemble was sampled before the cases were checked")
 
-    # the shared-ensemble suites sample through suites, converge's ladder
-    # through verify, solve-sde through sde
+    # generate samples through suites, the check suites and converge's
+    # ladder through verify, solve-sde through sde
     monkeypatch.setattr(suites, "ensemble_values", no_draws)
     monkeypatch.setattr(verify, "ensemble_values", no_draws)
     monkeypatch.setattr(sde, "ensemble_values", no_draws)

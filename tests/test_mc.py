@@ -85,3 +85,16 @@ def test_estimate_oracle_and_stderr_are_the_plain_ones():
     assert report.estimate == pytest.approx(lhs.mean(), rel=1e-14)
     assert report.oracle == pytest.approx(rhs.mean(), rel=1e-14)
     assert report.stderr == pytest.approx((lhs - rhs).std(ddof=1) / math.sqrt(300), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "estimate, scale, z",
+    [(4.77e-7, 1.0, math.inf), (4.77e-7, 2.45e9, 0.0), (1e-13, 1.0, 0.0), (1e-3, 1e8, math.inf)],
+)
+def test_a_constant_gap_is_exact_within_1e_12_of_the_cancelling_terms(estimate, scale, z):
+    # every sample equal, so stderr 0: the gap is rounding when within 1e-12
+    # of the largest of scale, |estimate| and |oracle|, and infinitely
+    # significant otherwise
+    report = MonteCarloReport.from_samples("x", np.full(8, estimate), 0.0, scale=scale)
+    assert report.stderr == 0.0 and report.z_score == z
+    assert report.verdict == (z == 0.0)

@@ -34,21 +34,21 @@ def _noise(n, n_paths, seed):
 
 
 def test_flow_euler_equals_direct_euler_for_nonlinear_drift():
-    # with X = Y + sigma W the two Euler recursions are the same arithmetic
-    # up to rounding, for any drift in t and x
+    # with X = Y + sigma W the Euler recursion of the random ODE and the one
+    # of the equation itself are the same arithmetic up to rounding, for any
+    # drift in t and x
     spec = SdeSpec(
         drift=lambda t, x: np.sin(x) * (1.0 + t) - x, sigma=0.7, x0=0.3, lipschitz=3.0
     )
     grid, w = _noise(128, 16, 4)
     flow = solve(spec, grid, w, "flow-euler").x
-    direct = solve(spec, grid, w, "direct-euler").x
+    direct = oracles.direct_euler_row_major(spec, grid.points, w)
     assert np.max(np.abs(flow - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 ROW_MAJOR_REFERENCES = {
     "flow-euler": oracles.flow_euler_row_major,
     "flow-rk4": oracles.flow_rk4_row_major,
-    "direct-euler": oracles.direct_euler_row_major,
 }
 
 
@@ -64,9 +64,8 @@ def test_time_major_cores_match_row_major_reference_bitwise(solver):
     got = sde._STEPPERS[solver](spec, grid.points, np.ascontiguousarray(w.T))
     np.testing.assert_array_equal(got.T, want)
     result = solve(spec, grid, w, solver)
-    direct = solver == "direct-euler"
-    np.testing.assert_array_equal(result.x, want if direct else want + spec.sigma * w)
-    np.testing.assert_array_equal(result.y, want - spec.sigma * w if direct else want)
+    np.testing.assert_array_equal(result.x, want + spec.sigma * w)
+    np.testing.assert_array_equal(result.y, want)
 
 
 def test_picard_matches_closed_form_trapezoid_for_linear_drift():
@@ -226,6 +225,15 @@ def test_large_sigma_runs_or_exits_2_naming_the_key(tmp_path, capsys, solver, si
     else:
         assert code == 2
         assert "config error" in err and "sde.sigma" in err
+
+
+def test_direct_euler_is_no_solver_and_exits_2(tmp_path, capsys):
+    # the Euler recursion of the equation itself is flow-euler's arithmetic
+    # up to rounding, so it is kept only as a test oracle
+    assert _solve_sde(tmp_path, "out", {"solver": "direct-euler", "grid_n": 16, "n_paths": 8}) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'direct-euler'" in err
+    assert "Traceback" not in err
 
 
 def test_picard_refuses_a_slab_that_need_not_contract():

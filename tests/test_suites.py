@@ -4,6 +4,7 @@ config, and byte-identical artifacts whatever the worker-thread count."""
 import csv
 import dataclasses
 import json
+import math
 import os
 import platform
 import tracemalloc
@@ -12,12 +13,25 @@ import numpy as np
 import pytest
 import yaml
 
-from fracwick import HurstParameter, TimeGrid, cli, empirical_covariance, ensemble_values, svgplot
+from fracwick import (
+    CylinderFunction,
+    HurstParameter,
+    PhiContext,
+    StepFunction,
+    TimeGrid,
+    cli,
+    empirical_covariance,
+    ensemble_values,
+    svgplot,
+    verify,
+)
 from fracwick.config import SUITE_NAMES, config_from_mapping
-from fracwick.fbm import GENERATOR_NAMES
-from fracwick.grids import write_ensemble_csv
-from fracwick.mc import MonteCarloReport
+from fracwick.fbm import GENERATOR_NAMES, block_rows
+from fracwick.grids import format_float, write_ensemble_csv
+from fracwick.mc import MonteCarloReport, fmean, fsum
+from fracwick import suites
 from fracwick.suites import config_digest, write_report_csv
+from fracwick.wick import _FORM_ROWS, isometry_check, isometry_kernels
 
 SMALL = {"grid_n": 64, "n_paths": 256, "master_seed": 0, "plots": True}
 CONVERGE_SMALL = {"grid_sizes": [16, 32, 64], "n_paths": 256, "master_seed": 0, "plots": True}
@@ -222,3 +236,169 @@ def test_grid_n_7112_is_uniform_enough_to_sample(tmp_path, suite, extra):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump({"grid_n": 7112, "n_paths": 16, **extra}))
     assert cli.main([suite, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+
+
+# grid_n 1024 puts block_rows(1025) = 63 paths in a sampler block, and the
+# isometry's blocks at their 128-row minimum, so 150 paths end every
+# streamed suite on a short block
+STREAMED = {"grid_n": 1024, "n_paths": 150, "master_seed": 7}
+STREAMED_LADDER = (256, 512, 1024)
+STREAMED_SUITES = ("verify-ito", "verify-product-rule", "verify-wentzell", "girsanov", "isometry", "converge")
+
+
+def _streamed_config(suite):
+    if suite == "converge":
+        return {"grid_sizes": list(STREAMED_LADDER), "n_paths": STREAMED["n_paths"], "master_seed": 7}
+    return STREAMED
+
+
+@pytest.fixture(scope="module")
+def streamed_runs(tmp_path_factory):
+    """Output directory of every streamed suite at STREAMED, per thread count."""
+    root = tmp_path_factory.mktemp("streamed")
+    out = {}
+    for threads in ("1", "2"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("FRACWICK_THREADS", threads)
+            for suite in STREAMED_SUITES:
+                cfg_path = root / f"{suite}.yaml"
+                cfg_path.write_text(yaml.safe_dump(_streamed_config(suite)))
+                outdir = root / threads / suite
+                assert cli.main([suite, "--config", str(cfg_path), "--out", str(outdir)]) == 0
+                out[threads, suite] = outdir
+    return out
+
+
+def _whole_matrix_reports(suite, w, ctx, grid):
+    """The suite's reports with every check run once on the whole ensemble
+    matrix w."""
+    if suite == "girsanov":
+        reports = [
+            MonteCarloReport.from_paired(f"girsanov:{name}", *verify.girsanov_check(fn, g, w, ctx, grid=grid))
+            for name, (fn, g) in verify.girsanov_case_registry(1.0).items()
+        ]
+        unit = StepFunction.constant(1.0, 1.0)
+        eps = verify.exponential_mean_report(unit, w, ctx, grid=grid)
+        return reports + [MonteCarloReport.from_samples("exponential-mean-one", eps, 1.0)]
+    if suite == "isometry":
+        integrands = {
+            "step-const": StepFunction.constant(1.0, 1.0),
+            "step-halves": verify.halves(1.0),
+            "const": CylinderFunction.constant(1.0),
+            "w": CylinderFunction.monomial(1),
+            "w2": CylinderFunction.monomial(2),
+        }
+        kernels = isometry_kernels(grid, ctx)
+        sides = {name: isometry_check(f, w, ctx, grid=grid, kernels=kernels) for name, f in integrands.items()}
+        return [MonteCarloReport.from_paired(f"isometry:{name}", *v) for name, v in sides.items()]
+    family = suite.removeprefix("verify-")
+    registry = verify.case_registry(family)
+    reports = []
+    for name in verify.ITO_MEAN_ZERO_CASES if family == "ito" else registry:
+        res, magnitude = verify.residuals(family, registry[name], w, ctx, grid)
+        reports.append(MonteCarloReport.from_samples(f"{family}:{name}", res, 0.0, scale=fmean(magnitude)))
+    return reports
+
+
+def test_streamed_config_ends_on_a_short_block():
+    n_paths = STREAMED["n_paths"]
+    for rows in (block_rows(STREAMED["grid_n"] + 1), _FORM_ROWS):
+        assert rows < n_paths and n_paths % rows
+
+
+@pytest.mark.parametrize("suite", STREAMED_SUITES)
+def test_streamed_report_is_the_same_under_one_and_two_threads(streamed_runs, suite):
+    for name in ("report.csv", "ladder.csv") if suite == "converge" else ("report.csv",):
+        one, two = (streamed_runs[threads, suite] / name for threads in ("1", "2"))
+        assert one.read_bytes() == two.read_bytes(), f"{suite}/{name}"
+
+
+@pytest.mark.parametrize("suite", [s for s in STREAMED_SUITES if s != "converge"])
+def test_streamed_suite_equals_its_checks_on_the_whole_matrix(streamed_runs, tmp_path, suite):
+    # every value is a function of its own row, so the blocks the sampler
+    # hands the checks change no bit of any report
+    ctx = PhiContext(HurstParameter(0.7))
+    grid = TimeGrid.uniform(STREAMED["grid_n"], 1.0)
+    w = ensemble_values("circulant", grid, ctx.hurst, STREAMED["master_seed"], STREAMED["n_paths"])
+    rows = [(STREAMED["grid_n"], r) for r in _whole_matrix_reports(suite, w, ctx, grid)]
+    write_report_csv(rows, str(tmp_path / "report.csv"))
+    same = (tmp_path / "report.csv").read_bytes() == (streamed_runs["1", suite] / "report.csv").read_bytes()
+    assert same, suite
+
+
+def test_streamed_ladder_equals_the_whole_matrix_rungs(streamed_runs):
+    ctx = PhiContext(HurstParameter(0.7))
+    fine = TimeGrid.uniform(STREAMED_LADDER[-1], 1.0)
+    w = ensemble_values("circulant", fine, ctx.hurst, STREAMED["master_seed"], STREAMED["n_paths"])
+    case = verify.case_registry("ito")["x2"]
+    want = []
+    for n in STREAMED_LADDER:
+        stride = STREAMED_LADDER[-1] // n
+        res, _ = verify.residuals("ito", case, w[:, ::stride], ctx, TimeGrid(fine.points[::stride]))
+        want.append([str(n), format_float(math.sqrt(fsum(res * res) / res.size))])
+    with open(streamed_runs["1", "converge"] / "ladder.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == want
+
+
+@pytest.mark.parametrize(
+    "suite, attrs",
+    [("girsanov", ("girsanov_check", "exponential_mean_report")), ("isometry", ("isometry_check",))],
+)
+def test_streamed_checks_are_called_per_block_by_attribute(tmp_path, monkeypatch, suite, attrs):
+    # a profiler wraps these attributes and names its spans by name=; 300
+    # paths of 257 nodes are a 255-row block and a 45-row one
+    calls = []
+    for attr in attrs:
+
+        def spy(*args, _attr=attr, _original=getattr(suites, attr), **kwargs):
+            values = _original(*args, **kwargs)
+            calls.append((kwargs.get("name", _attr), values.shape[-1]))
+            return values
+
+        monkeypatch.setattr(suites, attr, spy)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({"grid_n": 256, "n_paths": 300}))
+    assert cli.main([suite, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "report.csv", newline="") as fh:
+        names = [row["test_name"] for row in csv.DictReader(fh)]
+    labels = [n if n != "exponential-mean-one" else "exponential_mean_report" for n in names]
+    assert sorted(calls) == sorted((label, rows) for label in labels for rows in (255, 45))
+
+
+def _traced_peak(tmp_path, suite, config) -> int:
+    """tracemalloc's peak over one CLI run of suite, on one worker thread."""
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    tracemalloc.start()
+    try:
+        assert cli.main([suite, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_ito_keeps_no_ensemble(tmp_path, monkeypatch):
+    # the 1024 x 2000 ensemble is 16 MiB; the checks see one 63-row block
+    # (0.5 MiB) at a time, next to the sampler's buffers for it (2.5 MiB)
+    # and their own block temporaries, about 5.5 MiB in all
+    monkeypatch.setenv("FRACWICK_THREADS", "1")
+    peak = _traced_peak(tmp_path, "verify-ito", {"grid_n": 1024, "n_paths": 2000})
+    ensemble = 2000 * 1025 * 8
+    assert peak < ensemble / 2, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_isometry_keeps_no_ensemble(tmp_path, monkeypatch):
+    # the kernels are the isometry's own n x n set-up; beyond them the
+    # suite may hold 128-row blocks, not the 16 MiB ensemble
+    monkeypatch.setenv("FRACWICK_THREADS", "1")
+    grid = TimeGrid.uniform(1024, 1.0)
+    tracemalloc.start()
+    try:
+        isometry_kernels(grid, PhiContext(HurstParameter(0.7)))
+        kernels_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    peak = _traced_peak(tmp_path, "isometry", {"grid_n": 1024, "n_paths": 2000})
+    ensemble = 2000 * 1025 * 8
+    budget = kernels_peak + ensemble / 4
+    assert peak < budget, f"peak {peak / 2**20:.1f} MiB, kernels alone {kernels_peak / 2**20:.1f} MiB"

@@ -118,7 +118,7 @@ class TestSurvivingTerms:
         grid = TimeGrid.uniform(64, 1.0) if grid_name == "uniform" else _split_irregular_grid()
         w = ensemble_values("cholesky", grid, ctx.hurst, 7, 64)
         for name, case in _cases(family).items():
-            got = verify.residuals(family, case, w, ctx, grid)
+            got, _ = verify.residuals(family, case, w, ctx, grid)
             want = _REFERENCES[family](*_case_args(family, case), w, ctx, grid)
             gap = np.abs(got - want).max()
             assert gap <= 1e-13 * max(1.0, np.abs(want).max()), f"{family}:{name} off by {gap:.3e}"
@@ -180,7 +180,7 @@ class TestDegreeAwareArithmetic:
         w = ensemble_values("cholesky", grid, ctx.hurst, 7, 64)
         cases = {**_cases(family), **_recorded_coefficient_cases(family)}
         for name, case in cases.items():
-            got = verify.residuals(family, case, w, ctx, grid)
+            got, _ = verify.residuals(family, case, w, ctx, grid)
             want = _POLYVAL[family](*_case_args(family, case), w, ctx, grid)
             assert got.shape == want.shape
             if (family, name) in self.REORDERED:
@@ -295,7 +295,7 @@ class TestRowBlocks:
         monkeypatch.setattr(fbm, "_BLOCK_CELLS", 2**62)
         whole = _all_residuals(w[:n_paths], ctx, grid)
         for got, want in zip(blocked, whole):
-            assert got.shape == (n_paths,)
+            assert got.shape == (2, n_paths)
             assert got.tobytes() == want.tobytes()
 
     def test_strided_restriction_equals_single_block_bitwise(self, noise, monkeypatch):
@@ -312,7 +312,7 @@ class TestRowBlocks:
         # f = x^2: the Wick and curvature kernels cancel, leaving
         # sum dW^2 - sum dt^2H per path whatever the lower kernel is
         ctx, grid, w = noise
-        res = ito_residuals(ito_case_registry()["x2"], w, ctx, grid=grid)
+        res, _ = ito_residuals(ito_case_registry()["x2"], w, ctx, grid=grid)
         oracle = (np.diff(w, axis=1) ** 2).sum(axis=1) - (grid.spacings ** (2.0 * ctx.h)).sum()
         np.testing.assert_allclose(res, oracle, rtol=0.0, atol=1e-13)
 
@@ -372,6 +372,7 @@ class TestResidualDispatch:
         ],
     )
     def test_suite_reaches_every_case_once(self, tmp_path, seen, suite, family, names):
+        # 16 paths of 17 nodes are one row block
         assert _run_cli(tmp_path, suite, {"grid_n": 16, "n_paths": 16}) == 0
         registry = verify.case_registry(family)
         want = [(_FAMILY_FUNCTIONS[family], _case_label(registry[n])) for n in names or registry]
@@ -455,6 +456,55 @@ class TestConvergeVerdicts:
         rows = _report(tmp_path)
         assert all(float(r["estimate"]) == 0.0 for n, r in rows.items() if ":n=" in n)
         assert rows["converge:wentzell:constant:slope"]["verdict"] == "pass"
+
+
+class TestRoundingScale:
+    """A residual whose per-path values are all equal (stderr 0) is exact
+    when its mean is within 1e-12 of the terms that cancel in it."""
+
+    @pytest.mark.parametrize("horizon", [1e5, 1e20])
+    def test_deterministic_composition_passes_at_a_large_horizon(self, tmp_path, horizon):
+        # at 1e5 the mean read 4.77e-7 against max(1, |mean|, 0) = 1, z = inf;
+        # the drift sum and the end value that cancel in it are about 2.5e9
+        cfg = {"hurst": 0.7, "horizon": horizon, "grid_n": 16, "n_paths": 8}
+        assert _run_cli(tmp_path, "verify-wentzell", cfg) == 0
+        row = _report(tmp_path)["wentzell:deterministic"]
+        assert float(row["stderr"]) == 0.0 and float(row["estimate"]) != 0.0
+        assert float(row["z"]) == 0.0 and row["verdict"] == "pass"
+
+    @pytest.mark.parametrize("horizon", [1.0, 1e5, 1e20])
+    def test_a_dropped_term_still_fails(self, tmp_path, monkeypatch, horizon):
+        # the drift sum is the first right-hand term of the composition and
+        # the only one the deterministic case does not zero
+        balance = verify._balance
+
+        def drop_first_term(wb, end, start, *terms):
+            return balance(wb, end, start, *terms[1:])
+
+        monkeypatch.setattr(verify, "_balance", drop_first_term)
+        cfg = {"hurst": 0.7, "horizon": horizon, "grid_n": 16, "n_paths": 8, "cases": ["deterministic"]}
+        assert _run_cli(tmp_path, "verify-wentzell", cfg) == 1
+        row = _report(tmp_path)["wentzell:deterministic"]
+        assert float(row["stderr"]) == 0.0 and row["verdict"] == "fail"
+
+    def test_deterministic_ladder_is_exact_at_a_large_horizon(self, tmp_path):
+        # every rung reads 4.77e-7 against terms of about 2.5e9; against an
+        # absolute 1e-12 the slope was fitted to rounding and failed
+        cfg = {"residual": "wentzell", "case": "deterministic", "horizon": 1e5, "n_paths": 8}
+        assert _run_cli(tmp_path, "converge", cfg) == 0
+        slope = _report(tmp_path)["converge:wentzell:deterministic:slope"]
+        assert slope["estimate"] == "nan" and slope["verdict"] == "pass"
+
+    def test_magnitude_is_the_sum_of_the_cancelling_terms(self):
+        ctx = PhiContext(HurstParameter(0.7))
+        grid = TimeGrid.uniform(16, 1e5)
+        w = ensemble_values("circulant", grid, ctx.hurst, 0, 4)
+        res, mag = wentzell_residuals(wentzell_case_registry(1e5)["deterministic"], w, ctx, grid=grid)
+        # F(X) = 1 + X + X^2 / 2 along X = 0.3 + 0.7 t: |F(X_T)| + |F(x0)|
+        # plus the drift sum, which equals their difference to rounding
+        f_end, f_start = (1.0 + x + 0.5 * x * x for x in (0.3 + 0.7e5, 0.3))
+        np.testing.assert_allclose(mag, 2.0 * f_end, rtol=1e-12)
+        assert np.all(np.abs(res) <= 1e-12 * mag)
 
 
 class TestConfigErrors:

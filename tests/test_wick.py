@@ -36,6 +36,13 @@ def _stream_zero(grid, master_seed):
     return ensemble_values("circulant", grid, CTX.hurst, master_seed, 1)
 
 
+def _isometry_report(integrand, w, ctx, grid, kernels=None):
+    """The paired report of isometry_check's per-path sides, as the
+    isometry suite reduces them."""
+    sides = isometry_check(integrand, w, ctx, grid=grid, kernels=kernels)
+    return MonteCarloReport.from_paired("isometry", *sides)
+
+
 def _wick_integral(fn, w, grid, ctx):
     raw, corr = cylinder_integral_terms(fn, w, grid, ctx)
     return raw - corr
@@ -174,7 +181,7 @@ class TestIsometry:
         f = StepFunction(
             TimeGrid(np.array([0.0, 0.25, 1.0])), np.array([1.0, -2.0])
         )
-        report = isometry_check(f, vals, CTX, grid=grid)
+        report = _isometry_report(f, vals, CTX, grid=grid)
         assert report.verdict, f"step isometry z = {report.z_score:.2f}"
         assert report.oracle == pytest.approx(phi_norm_sq(f, CTX), rel=1e-13)
 
@@ -188,7 +195,7 @@ class TestIsometry:
         vals = ensemble_values("circulant", grid, ctx.hurst, seed, 2000)
         kernels = isometry_kernels(grid, ctx)
         for degree in (1, 2):
-            report = isometry_check(CylinderFunction.monomial(degree), vals, ctx, grid=grid, kernels=kernels)
+            report = _isometry_report(CylinderFunction.monomial(degree), vals, ctx, grid=grid, kernels=kernels)
             assert not report.verdict and report.z_score > 0, f"degree {degree}: z = {report.z_score:.2f}"
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -200,10 +207,10 @@ class TestIsometry:
         ctx = PhiContext(HurstParameter(0.7))
         grid = TimeGrid.uniform(128, 1.0)
         vals = ensemble_values("circulant", grid, ctx.hurst, seed, 4000)
-        gamma, _ = isometry_kernels(grid, ctx)
         r = covariance_grid(grid.points, ctx.hurst)
         a = r[:-1, 1:] - r[:-1, :-1]
-        report = isometry_check(CylinderFunction.monomial(1), vals, ctx, grid=grid, kernels=(gamma, a * a))
+        kernels = isometry_kernels(grid, ctx)._replace(cross=a * a, cross_sum=(a * a).sum())
+        report = _isometry_report(CylinderFunction.monomial(1), vals, ctx, grid=grid, kernels=kernels)
         assert not report.verdict and report.z_score < 0, f"z = {report.z_score:.2f}"
 
     def test_step_breakpoints_must_lie_on_path_grid(self):
@@ -217,7 +224,7 @@ class TestIsometry:
         ctx = PhiContext(HurstParameter(h))
         grid = TimeGrid.uniform(64, 1.0)
         vals = ensemble_values("circulant", grid, ctx.hurst, 22, 4000)
-        report = isometry_check(CylinderFunction.constant(1.0), vals, ctx, grid=grid)
+        report = _isometry_report(CylinderFunction.constant(1.0), vals, ctx, grid=grid)
         assert report.verdict, f"H={h}: z = {report.z_score:.2f}"
 
     @pytest.mark.parametrize("h", [0.6, 0.75])
@@ -228,7 +235,7 @@ class TestIsometry:
         ctx = PhiContext(HurstParameter(h))
         grid = TimeGrid.uniform(128, 1.0)
         vals = ensemble_values("circulant", grid, ctx.hurst, 23, 4000)
-        report = isometry_check(CylinderFunction.monomial(1), vals, ctx, grid=grid)
+        report = _isometry_report(CylinderFunction.monomial(1), vals, ctx, grid=grid)
         assert report.verdict, f"H={h}: paired z = {report.z_score:.2f}"
 
         lhs = _wick_integral(CylinderFunction.monomial(1), vals, grid, ctx) ** 2
@@ -264,7 +271,7 @@ class TestIsometry:
         vals = np.zeros((2 * n, n + 1))
         vals[:n, 1:] = cols
         vals[n:, 1:] = -cols
-        report = isometry_check(CylinderFunction.monomial(1), vals, ctx, grid=grid)
+        report = _isometry_report(CylinderFunction.monomial(1), vals, ctx, grid=grid)
         want = oracles.wick_square_isserlis(grid.points, h)
         if n == 1:
             # a single cell has W_0 = 0: both sides vanish identically
@@ -279,24 +286,20 @@ class TestIsometry:
         ctx = PhiContext(HurstParameter(0.7))
         grid = TimeGrid.uniform(8, 1.0)
         vals = ensemble_values("circulant", grid, ctx.hurst, 7, 20_000)
-        report = isometry_check(CylinderFunction.monomial(degree), vals, ctx, grid=grid)
+        report = _isometry_report(CylinderFunction.monomial(degree), vals, ctx, grid=grid)
         assert report.verdict, f"degree {degree}: z = {report.z_score:.2f}"
 
     def test_quadratic_cylinder(self):
         grid = TimeGrid.uniform(64, 1.0)
         vals = ensemble_values("circulant", grid, CTX.hurst, 25, 4000)
-        report = isometry_check(CylinderFunction.monomial(2), vals, CTX, grid=grid)
+        report = _isometry_report(CylinderFunction.monomial(2), vals, CTX, grid=grid)
         assert report.verdict, f"quadratic integrand z = {report.z_score:.2f}"
 
     def test_report_shape(self):
         grid = TimeGrid.uniform(16, 1.0)
         vals = ensemble_values("circulant", grid, CTX.hurst, 26, 500)
-        report = isometry_check(
-            CylinderFunction.constant(1.0), vals, CTX, grid=grid, name="probe"
-        )
-        assert isinstance(report, MonteCarloReport)
-        assert report.name == "probe"
-        assert report.n_paths == 500
+        sides = isometry_check(CylinderFunction.constant(1.0), vals, CTX, grid=grid, name="probe")
+        assert sides.shape == (2, 500)
 
 
 @pytest.mark.parametrize(
@@ -345,12 +348,12 @@ class TestBlockedIsometry:
     def test_matches_whole_matrix_formula(self, noise, name, n_paths):
         ctx, grid, w, kernels = noise
         fn, paths = self.INTEGRANDS[name], w[:n_paths]
-        report = isometry_check(fn, paths, ctx, grid=grid, kernels=kernels)
+        sides = isometry_check(fn, paths, ctx, grid=grid, kernels=kernels)
         raw, corr = cylinder_integral_terms(fn, paths, grid, ctx)
-        assert report.estimate == fmean((raw - corr) ** 2)
+        assert np.array_equal(sides[0], (raw - corr) ** 2)
         want = fmean(oracles.isometry_rhs_dense(fn, paths, grid.points, ctx.h))
-        assert report.oracle == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert isometry_check(fn, paths, ctx, grid=grid) == report
+        assert fmean(sides[1]) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert np.array_equal(isometry_check(fn, paths, ctx, grid=grid), sides)
 
 
 class TestPerPathMemory:
