@@ -318,6 +318,42 @@ def ensemble_values(
     return out if keep is None else kept
 
 
+# glibc serves a request above its mmap threshold (128 KiB at start) from
+# a fresh mapping, and hands a heap's free top back to the system once it
+# exceeds the trim threshold. Freeing a mapped chunk above the mmap
+# threshold raises that threshold to the chunk's size, up to 32 MiB, and
+# the trim threshold to twice as much. A consumer's row-block temporaries
+# die between blocks while the sampler's per-worker block buffers live on,
+# so with the thresholds low the temporaries are mapped, or the heap
+# trimmed, and faulted in again at every block: the verify-ito child at
+# 4096 x 2000 took 214k minor faults, against 8.5k once one chunk of this
+# size was mapped and freed before the first block, and the solve-sde
+# picard child 86k-120k against 8.4k. The chunk is never written, so it
+# costs no resident memory, and it bypasses Python's allocators, which
+# would count its address space as traced memory.
+_THRESHOLD_CHUNK = 16 * 2**20
+
+
+def _lift_heap_thresholds() -> None:
+    """Raise glibc's mmap and trim thresholds before a consumer's blocks.
+
+    Callers opt in, because the raised trim threshold keeps up to 32 MiB of
+    freed heap resident: the checks and Picard, whose block temporaries
+    die between blocks, call it; `generate` and the stepping solvers' noise
+    fill, whose peaks were measured without it, do not.
+    """
+    import ctypes  # here, so that runs that never lift the thresholds never load it
+
+    try:
+        libc = ctypes.CDLL(None)
+        libc.malloc.restype = ctypes.c_void_p
+        libc.malloc.argtypes = (ctypes.c_size_t,)
+        libc.free.argtypes = (ctypes.c_void_p,)
+    except (OSError, TypeError, AttributeError):
+        return  # no C allocator to reach; the blocks only fault more
+    libc.free(libc.malloc(_THRESHOLD_CHUNK))
+
+
 def block_rows(row_cells: int) -> int:
     """Rows of row_cells cells each that fit the `_BLOCK_CELLS` budget."""
     return max(1, _BLOCK_CELLS // row_cells)

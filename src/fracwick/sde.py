@@ -8,11 +8,13 @@ the RK4 stages).
 
 Every solver takes a batch of paths and steps or iterates all of them at
 once; one path is a batch of one. The stepping solvers (flow-euler,
-flow-rk4) run on time-major noise, one row per node, so a step reads and
-writes contiguous rows, and a path's solution depends only on that path's
-noise, bit for bit. Picard iterates a (paths x nodes) block
-and stops each slab on the largest delta over the block's rows, so below
-tol a path's solution depends on the paths it shares a block with.
+flow-rk4) run on time-major noise, one row per node, so a step reads
+contiguous rows, and a path's solution depends only on that path's noise,
+bit for bit. Each stepping core yields the state rows Y_0, Y_1, ... as it
+goes and holds only the current one: `solve` stacks them, `sde_mc_stats`
+keeps X at the checkpoints and path 0. Picard iterates a (paths x nodes)
+block and stops each slab on the largest delta over the block's rows, so
+below tol a path's solution depends on the paths it shares a block with.
 `sde_mc_stats` solves an ensemble over a partition into row blocks that
 the grid alone fixes (`fbm.block_rows`): a path's solution depends on
 that partition, never on the thread count.
@@ -21,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import DriftBlowupError, NonConvergenceError, VarianceOverflowError
-from .fbm import HurstParameter, ensemble_values, fgn_autocovariance
+from .fbm import HurstParameter, _lift_heap_thresholds, ensemble_values, fgn_autocovariance
 from .grids import TimeGrid
 from .mc import MonteCarloReport, fmean, variance_stderr
 from .phicalc import PhiContext
@@ -99,21 +101,21 @@ def _check_finite(arr: np.ndarray, solver: str, step: int) -> None:
         raise DriftBlowupError(f"{solver} produced a non-finite value at step {step}")
 
 
-def _flow_euler_core(spec: SdeSpec, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    y = np.empty_like(w)
-    y[0] = spec.x0
+def _flow_euler_core(spec: SdeSpec, t: np.ndarray, w: np.ndarray) -> Iterator[np.ndarray]:
+    y = np.full(w.shape[1], spec.x0, dtype=w.dtype)
+    yield y
     for k in range(t.size - 1):
         dt = t[k + 1] - t[k]
-        rate = spec.drift(t[k], y[k] + spec.sigma * w[k])
-        y[k + 1] = y[k] + dt * np.asarray(rate)
-        _check_finite(y[k + 1], "flow-euler", k + 1)
-    return y
+        rate = spec.drift(t[k], y + spec.sigma * w[k])
+        y = y + dt * np.asarray(rate)
+        _check_finite(y, "flow-euler", k + 1)
+        yield y
 
 
-def _flow_rk4_core(spec: SdeSpec, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _flow_rk4_core(spec: SdeSpec, t: np.ndarray, w: np.ndarray) -> Iterator[np.ndarray]:
     """Classic RK4 on the random ODE; W at half-nodes by linear interpolation."""
-    y = np.empty_like(w)
-    y[0] = spec.x0
+    y = np.full(w.shape[1], spec.x0, dtype=w.dtype)
+    yield y
     s = spec.sigma
     b = spec.drift
     for k in range(t.size - 1):
@@ -122,19 +124,20 @@ def _flow_rk4_core(spec: SdeSpec, t: np.ndarray, w: np.ndarray) -> np.ndarray:
         wk = w[k]
         wn = w[k + 1]
         wm = 0.5 * (wk + wn)
-        yk = y[k]
-        k1 = np.asarray(b(tk, yk + s * wk))
-        k2 = np.asarray(b(tm, yk + 0.5 * dt * k1 + s * wm))
-        k3 = np.asarray(b(tm, yk + 0.5 * dt * k2 + s * wm))
-        k4 = np.asarray(b(tn, yk + dt * k3 + s * wn))
-        y[k + 1] = yk + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(y[k + 1], "flow-rk4", k + 1)
-    return y
+        k1 = np.asarray(b(tk, y + s * wk))
+        k2 = np.asarray(b(tm, y + 0.5 * dt * k1 + s * wm))
+        k3 = np.asarray(b(tm, y + 0.5 * dt * k2 + s * wm))
+        k4 = np.asarray(b(tn, y + dt * k3 + s * wn))
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _check_finite(y, "flow-rk4", k + 1)
+        yield y
 
 
 # The stepping solvers. Each core takes time-major noise, row k holding
-# every path's W at node k, so a step reads and writes contiguous rows; it
-# returns Y = X - sigma W.
+# every path's W at node k, so a step reads contiguous rows. It yields the
+# rows Y_0, Y_1, ... of Y = X - sigma W, one per node and each across every
+# path, and holds only the current row and its RK4 stages: a consumer keeps
+# what it needs as the rows go past. Every yielded row is a fresh array.
 _STEPPERS = {
     "flow-euler": _flow_euler_core,
     "flow-rk4": _flow_rk4_core,
@@ -231,7 +234,7 @@ def solve(spec: SdeSpec, grid: TimeGrid, w: np.ndarray, solver: str, tol: float 
         return solve_picard(spec, grid, w, tol)
     if solver not in _STEPPERS:
         raise ValueError(f"unknown solver {solver!r}; pick one of {SOLVER_NAMES}")
-    y = _STEPPERS[solver](spec, grid.points, np.ascontiguousarray(w.T)).T
+    y = np.stack(list(_STEPPERS[solver](spec, grid.points, np.ascontiguousarray(w.T))), axis=1)
     return SolverResult(y + spec.sigma * w, y)
 
 
@@ -298,7 +301,11 @@ def sde_mc_stats(
     the blocks into one time-major noise array and step every path at
     once: a step costs the same few numpy calls whatever its width, so
     narrow blocks would multiply that Python cost, and threads stepping
-    side by side would queue on the interpreter lock.
+    side by side would queue on the interpreter lock. That noise array
+    stays whole because a step needs every path's W at one node while the
+    sampler yields whole paths. The state does not: the core's rows go
+    past one at a time, and only X at the checkpoints and the Y of path 0
+    are kept, never a (nodes x paths) Y.
     """
     cps = np.asarray(checkpoints, dtype=float)
     means_oracle, vars_oracle = oracle
@@ -319,6 +326,7 @@ def sde_mc_stats(
             result = solve_picard(spec, grid, w, tol)
             return result.x[:, idx], (result.x[0], result.y[0], w[0].copy()) if lo == 0 else None
 
+        _lift_heap_thresholds()
         parts = ensemble_values("circulant", grid, h, master_seed, n_paths, keep=picard_block)
         x_cps = np.concatenate([x for x, _ in parts]).T
         path0 = parts[0][1]
@@ -329,10 +337,16 @@ def sde_mc_stats(
             w[:, lo : lo + block.shape[0]] = block.T
 
         ensemble_values("circulant", grid, h, master_seed, n_paths, keep=fill)
-        y = _STEPPERS[solver](spec, grid.points, w)
-        x_cps = y[idx] + spec.sigma * w[idx]
-        # copies, so that the (nodes x paths) arrays die on return
-        y0, w0 = y[:, 0].copy(), w[:, 0].copy()
+        cps_at: dict[int, list[int]] = {}  # node -> its rows of x_cps
+        for i, j in enumerate(idx):
+            cps_at.setdefault(j, []).append(i)
+        x_cps = np.empty((len(idx), n_paths))
+        y0 = np.empty(grid.points.size)
+        for k, yk in enumerate(_STEPPERS[solver](spec, grid.points, w)):
+            y0[k] = yk[0]
+            for i in cps_at.get(k, ()):
+                x_cps[i] = yk + spec.sigma * w[k]
+        w0 = w[:, 0].copy()  # a copy, so that the (nodes x paths) noise dies on return
         path0 = (y0 + spec.sigma * w0, y0, w0)
     reports = []
     for samples, t, mu, var in zip(x_cps, cps, means_oracle, vars_oracle):

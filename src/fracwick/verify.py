@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnsupportedCaseError
-from .fbm import HurstParameter, _by_row_blocks, ensemble_values
+from .fbm import HurstParameter, _by_row_blocks, _lift_heap_thresholds, ensemble_values
 from .functions import CylinderFunction, SpaceTimeFunction
 from .grids import TimeGrid
 from .mc import EXACT_REL_TOL, fmean, fsum
@@ -522,34 +522,6 @@ def exponential_mean_report(
 # ---------------------------------------------------------------------------
 # checks streamed over the ensemble's row blocks
 # ---------------------------------------------------------------------------
-
-
-# glibc serves a request above its mmap threshold (128 KiB at start) from a
-# fresh mapping, and hands a heap's free top back to the system once it
-# exceeds the trim threshold. Freeing a mapped chunk above the mmap
-# threshold raises that threshold to the chunk's size, up to 32 MiB, and
-# the trim threshold to twice as much. A check's row-block temporaries die
-# between blocks while the sampler's per-worker block buffers live on, so
-# with the thresholds low the temporaries are mapped, or the heap trimmed,
-# and faulted in again at every block: the verify-ito child at 4096 x 2000
-# took 214k minor faults, against 8.5k once one chunk of this size was
-# mapped and freed before the first block. The chunk is never written, so
-# it costs no resident memory, and it bypasses Python's allocators, which
-# would count its address space as traced memory.
-_THRESHOLD_CHUNK = 16 * 2**20
-
-
-def _lift_heap_thresholds() -> None:
-    import ctypes  # here, so that suites which stream no checks never load it
-
-    try:
-        libc = ctypes.CDLL(None)
-        libc.malloc.restype = ctypes.c_void_p
-        libc.malloc.argtypes = (ctypes.c_size_t,)
-        libc.free.argtypes = (ctypes.c_void_p,)
-    except (OSError, TypeError, AttributeError):
-        return  # no C allocator to reach; the checks only fault more
-    libc.free(libc.malloc(_THRESHOLD_CHUNK))
 
 
 def streamed_values(

@@ -3,6 +3,7 @@ the row-block partition of an ensemble solve, and the linear-drift moment
 oracle against an incomplete-gamma route."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import yaml
 
 import oracles
 from fracwick import (
+    DriftBlowupError,
     HurstParameter,
     NonConvergenceError,
     PhiContext,
@@ -61,11 +63,85 @@ def test_time_major_cores_match_row_major_reference_bitwise(solver):
     )
     grid, w = _noise(128, 24, 4)
     want = ROW_MAJOR_REFERENCES[solver](spec, grid.points, w)
-    got = sde._STEPPERS[solver](spec, grid.points, np.ascontiguousarray(w.T))
+    # the core yields one row per node; stacked, they are the node rows of Y
+    got = np.stack(list(sde._STEPPERS[solver](spec, grid.points, np.ascontiguousarray(w.T))))
     np.testing.assert_array_equal(got.T, want)
     result = solve(spec, grid, w, solver)
     np.testing.assert_array_equal(result.x, want + spec.sigma * w)
     np.testing.assert_array_equal(result.y, want)
+
+
+def _cubic_spec(x0):
+    def drift(t, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.sin(x) * (1.0 + t) - x * x * x
+
+    return SdeSpec(drift=drift, sigma=0.7, x0=x0, lipschitz=3.0)
+
+
+@pytest.mark.parametrize("solver", sorted(ROW_MAJOR_REFERENCES))
+def test_ensemble_stats_see_the_rows_of_the_path_solve_bitwise(solver, monkeypatch):
+    # sde_mc_stats keeps X only at the checkpoints and the stream-0 path as
+    # the core's rows go past; they are the nodes of the full solve. 600
+    # paths at grid_n 256 fill the noise from three row blocks, and the
+    # checkpoints take the first cell and the horizon.
+    grid, w = _noise(256, 600, 9)
+    spec = _cubic_spec(0.3)
+    cps = np.array([grid.points[1], 0.5, 1.0])
+    idx = [1, 128, 256]
+    seen = []
+
+    def spy(samples):
+        seen.append(samples.copy())
+        return variance_stderr(samples)
+
+    monkeypatch.setattr(sde, "variance_stderr", spy)
+    _, path0 = sde.sde_mc_stats(
+        spec, grid, H, 9, 600, cps, (np.zeros(3), np.zeros(3)), solver=solver
+    )
+    want = solve(spec, grid, w, solver)
+    np.testing.assert_array_equal(np.stack(seen), want.x[:, idx].T)
+    for got, row in zip(path0, (want.x[0], want.y[0], w[0])):
+        np.testing.assert_array_equal(got, row)
+
+
+@pytest.mark.parametrize("solver", sorted(ROW_MAJOR_REFERENCES))
+def test_drift_blowup_names_the_same_step_in_solve_and_ensemble_stats(solver):
+    # explicit steps of 1/64 on x' = -x^3 + ... from x0 = 100 (dt x0^2 =
+    # 156) overshoot by more at every step until the state overflows; both
+    # consumers see the core's check at the same step
+    grid, w = _noise(64, 40, 2)
+    spec = _cubic_spec(100.0)
+    with pytest.raises(DriftBlowupError) as by_solve:
+        solve(spec, grid, w, solver)
+    with pytest.raises(DriftBlowupError) as by_stats:
+        sde.sde_mc_stats(spec, grid, H, 2, 40, np.array([1.0]), (np.zeros(1), np.zeros(1)), solver=solver)
+    message = str(by_solve.value)
+    assert message == str(by_stats.value)
+    step = int(message.rsplit(" ", 1)[1])
+    assert 1 < step < 64, message
+
+
+@pytest.mark.parametrize("solver", sorted(ROW_MAJOR_REFERENCES))
+def test_stepping_ensemble_stats_hold_no_state_matrix(solver, monkeypatch):
+    # the time-major noise of 1024 x 4000 is 31 MiB; beyond it the solve
+    # holds the sampler's one-thread block buffers (about 3.7 MiB whatever
+    # the width, so a narrower ensemble could not meet this budget) and a
+    # few state rows. A (nodes x paths) Y next to W reads about 2x.
+    monkeypatch.setenv("FRACWICK_THREADS", "1")
+    n, n_paths = 1024, 4000
+    grid = TimeGrid.uniform(n, 1.0)
+    cps = np.array([0.5, 1.0])
+    tracemalloc.start()
+    try:
+        sde.sde_mc_stats(
+            make_fou(1.0, 1.0, 1.0), grid, H, 3, n_paths, cps, (np.zeros(2), np.zeros(2)), solver=solver
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    noise = (n + 1) * n_paths * 8
+    assert peak < 1.25 * noise, f"peak {peak / 2**20:.1f} MiB, noise {noise / 2**20:.1f} MiB"
 
 
 def test_picard_matches_closed_form_trapezoid_for_linear_drift():
