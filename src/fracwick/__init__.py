@@ -50,7 +50,7 @@ from .verify import (
     wentzell_case_registry,
     wentzell_residuals,
 )
-from .wick import exponential_functional, isometry_check, wick_integral_deterministic
+from .wick import isometry_check, wick_integral_deterministic
 
 __version__ = "0.1.0"
 
@@ -86,7 +86,6 @@ __all__ = [
     "empirical_covariance",
     "ensemble_values",
     "exponential_mean_report",
-    "exponential_functional",
     "fou_oracle",
     "girsanov_case_registry",
     "girsanov_check",

@@ -9,11 +9,10 @@ of `rng.SeedSpec`; a single path is a one-row slice of an ensemble. Rows
 are drawn and transformed a row block at a time on the worker pool, over a
 partition that the grid (and a consumer's minimum row count) alone fixes,
 so no value depends on the thread count. Each worker reuses one set of
-block buffers. A block is written straight into the result matrix, or
-handed to the caller's consumer, which keeps what it needs; so peak memory
-is the result plus one block per worker, and with a consumer only the
-blocks. Each block's normals come from
-one `rng.standard_normal_rows` call, which keys all the block's streams at
+block buffers, and each block is handed to the caller's consumer, which
+keeps what it needs; so peak memory is one block per worker plus what the
+consumer keeps. Each block's normals come from one
+`rng.standard_normal_rows` call, which keys all the block's streams at
 once and gives the bits of one fresh generator per stream.
 """
 from __future__ import annotations
@@ -42,13 +41,14 @@ _JITTER_MAX_REL = 1e-8
 # rounding dust and are clamped to zero.
 _EMBED_REL_TOL = 1e-9
 
-# Path-matrix cells per row block, shared by the sampler, the residual
-# arithmetic in `verify` and the Wick integrals in `wick`. A block
-# temporary of 2**16 float64 cells is 512 KiB, so the working set of one
-# block stays in a core's L2 cache.
-# Measured on a 2-core Xeon with 2 MiB of L2 per core, the fastest
-# residual blocks were 2**14 to 2**16 cells at every grid size; for the
-# sampler, budgets from 2**15 to 2**20 cells were within 10% of each other.
+# Path-matrix cells per sampler row block. Every consumer works on the
+# sampler's blocks as they come (the checks, Picard, `generate`), so this
+# budget sizes their temporaries too. A block temporary of 2**16 float64
+# cells is 512 KiB, so the working set of one block stays in a core's L2
+# cache. Measured on a 2-core Xeon with 2 MiB of L2 per core, the fastest
+# residual blocks were 2**14 to 2**16 cells at every grid size, 8-16 rows
+# at grid_n = 4096 (256 rows took 1.9x as long); for the sampler, budgets
+# from 2**15 to 2**20 cells were within 10% of each other.
 _BLOCK_CELLS = 2**16
 
 
@@ -224,11 +224,11 @@ def ensemble_values(
     h: HurstParameter,
     master_seed: int,
     n_paths: int,
-    keep: Callable[[int, np.ndarray], object] | None = None,
+    keep: Callable[[int, np.ndarray], object],
     min_rows: int = 1,
-) -> np.ndarray | list:
-    """Matrix of n_paths trajectories (rows), row i on stream i; or, given
-    keep, the list of keep(lo, block) over the row blocks in row order.
+) -> list:
+    """The list of keep(lo, block) over the row blocks of n_paths
+    trajectories, in row order, row i on stream i.
 
     The only sampler; a single path is a one-row slice. Cholesky maps
     n normals per stream through the covariance factor (any grid);
@@ -242,14 +242,12 @@ def ensemble_values(
     pool, max(block_rows(n + 1), min_rows) rows at a time from row 0, so
     the grid and min_rows alone fix the blocks and no value depends on the
     thread count. Each worker keeps one set of block buffers for all its
-    blocks. Without keep, a block is written straight into the result, so
-    peak memory is the result plus one block per worker. With keep, block
-    is the (rows, n + 1) value matrix of rows lo, lo + 1, ... in a worker's
-    buffer, valid only during the call: keep copies or reduces what it
-    needs, and nothing else is kept. min_rows serves a consumer whose own
-    arithmetic wants blocks of at least that many rows (the isometry's
-    matrix products run at full BLAS speed from 128 rows); only the last
-    block may be shorter.
+    blocks. block is the (rows, n + 1) value matrix of rows lo, lo + 1, ...
+    in a worker's buffer, valid only during the call: keep copies or
+    reduces what it needs, and nothing else is kept. min_rows serves a
+    consumer whose own arithmetic wants blocks of at least that many rows
+    (the isometry's matrix products run at full BLAS speed from 128 rows);
+    only the last block may be shorter.
 
     Row i is drawn from its stream alone, so the first k rows of a larger
     ensemble are the k-path ensemble: bit for bit for circulant and
@@ -276,10 +274,6 @@ def ensemble_values(
             phis, v = hosking_coefficients(n, h)
             draws = n
     rows = min(max(block_rows(n + 1), min_rows), n_paths)
-    out = None
-    if keep is None:
-        out = np.empty((n_paths, n + 1))
-        out[:, 0] = 0.0
     local = threading.local()
 
     def buffers() -> dict:
@@ -288,16 +282,15 @@ def ensemble_values(
             local.buf = {"z": np.empty((rows, draws))}
             if method == "circulant":
                 local.buf["spectrum"] = np.empty((rows, n + 1), dtype=complex)
-            if keep is not None:
-                local.buf["w"] = np.empty((rows, n + 1))
-                local.buf["w"][:, 0] = 0.0
+            local.buf["w"] = np.empty((rows, n + 1))
+            local.buf["w"][:, 0] = 0.0
         return local.buf
 
     def block(lo: int):
         buf = buffers()
         k = min(rows, n_paths - lo)
         z = standard_normal_rows(master_seed, lo, buf["z"][:k])
-        w = out[lo : lo + k] if keep is None else buf["w"][:k]
+        w = buf["w"][:k]
         if method == "cholesky":
             np.matmul(z, chol_t, out=w[:, 1:])
         else:
@@ -307,15 +300,14 @@ def ensemble_values(
                 noise = _hosking_fgn(phis, v, z)
             np.multiply(noise, step, out=noise)
             np.cumsum(noise, axis=1, out=w[:, 1:])
-        return None if keep is None else keep(lo, w)
+        return keep(lo, w)
 
     tasks = [lambda lo=lo: block(lo) for lo in range(0, n_paths, rows)]
     # Hosking's recursion is n small numpy calls per block, and threads
     # making them side by side queue on the interpreter lock (256 x 20000
     # on a 2-core Xeon: 0.72 s on one thread, 0.91-0.99 s on two), so its
     # blocks run on the calling thread
-    kept = [task() for task in tasks] if method == "hosking" else run_tasks(tasks)
-    return out if keep is None else kept
+    return [task() for task in tasks] if method == "hosking" else run_tasks(tasks)
 
 
 # glibc serves a request above its mmap threshold (128 KiB at start) from
@@ -357,25 +349,6 @@ def _lift_heap_thresholds() -> None:
 def block_rows(row_cells: int) -> int:
     """Rows of row_cells cells each that fit the `_BLOCK_CELLS` budget."""
     return max(1, _BLOCK_CELLS // row_cells)
-
-
-def _by_row_blocks(
-    w: np.ndarray, block_values: Callable[[np.ndarray], np.ndarray], rows: int | None = None
-) -> np.ndarray:
-    """Per-row values of w, computed a fixed number of rows at a time.
-
-    block_values maps a block of rows to their values, an array whose last
-    axis runs over the block's rows, and reduces only along rows, so the
-    result equals one call on all of w bit for bit. rows defaults to the
-    cell budget's share; for the residual arithmetic, the fastest row counts
-    measured were 64-256 at grid_n = 256, 16-64 at 1024 and 8-16 at 4096.
-    At 4096, 256-row blocks took 1.9x and the unblocked 2000 paths 3.5x as
-    long as 16 rows.
-    """
-    if rows is None:
-        rows = block_rows(w.shape[1])
-    blocks = [block_values(w[lo : lo + rows]) for lo in range(0, w.shape[0], rows)]
-    return np.concatenate(blocks, axis=-1)
 
 
 def empirical_covariance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -32,21 +32,17 @@ def _trimmed(coeffs) -> tuple[float, ...]:
 class CylinderFunction:
     """h with exact h' and h''. Build via the classmethod constructors only.
 
-    degree is the polynomial degree a polynomial was built with (its
-    coefficient count less one, so never below the true degree) and None
-    for the transcendentals. coeffs records a polynomial's coefficients,
-    lowest power first, with trailing zeros trimmed: () is the zero
-    polynomial and a 1-tuple a constant, whatever the padding it was built
-    with. It is None for the transcendentals. The residual arithmetic reads
-    coeffs, so that it builds no factor that is identically zero; the
-    isometry reads degree.
+    coeffs records a polynomial's coefficients, lowest power first, with
+    trailing zeros trimmed: () is the zero polynomial and a 1-tuple a
+    constant, whatever the padding it was built with. It is None for the
+    transcendentals. The residual arithmetic and the isometry read coeffs,
+    so that they build no factor that is identically zero or constant.
     """
 
     value: Callable[[Array], Array]
     deriv: Callable[[Array], Array]
     deriv2: Callable[[Array], Array]
     description: str
-    degree: int | None = None
     coeffs: tuple[float, ...] | None = None
 
     @classmethod
@@ -68,7 +64,6 @@ class CylinderFunction:
             deriv=lambda x, d1=d1: pv(x, d1),
             deriv2=lambda x, d2=d2: pv(x, d2),
             description=desc,
-            degree=c.size - 1,
             coeffs=_trimmed(c),
         )
 

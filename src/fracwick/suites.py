@@ -54,7 +54,6 @@ from .verify import (
     girsanov_check,
     halves,
     residual_block,
-    residuals,
     streamed_values,
 )
 from .wick import _FORM_ROWS, exponential_block, isometry_check, isometry_kernels
@@ -201,10 +200,8 @@ def _residual_checks(family: str, default: tuple[str, ...] | None = None):
         def check(name: str) -> _Check:
             # each residual is judged against the size of the terms that
             # cancel in it, the second row of its per-path values
-            case = registry[name]
-            block = residual_block(family, case, ctx, grid)
             return _Check(
-                lambda wb: residuals(family, case, wb, ctx, grid, block),
+                residual_block(family, registry[name], ctx, grid),
                 lambda v: MonteCarloReport.from_samples(f"{family}:{name}", v[0], 0.0, scale=fmean(v[1])),
             )
 

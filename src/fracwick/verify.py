@@ -9,8 +9,8 @@ corrections and the diagonal cell integrals leave only the half cell
 dt_i^2H / 2. Every residual is therefore first-order Riemann sums plus a
 half-cell compensator, and its only deterministic kernel factors are the
 spacings and the half cells. Everything random is frozen at left endpoints
-and evaluated over fixed row blocks of the path matrix; every reduction
-runs along a row, so the blocking changes no bit of the result.
+and evaluated on the rows a residual is given; every reduction runs along
+a row, so a row's residual is the same bits whatever rows come with it.
 Expectations of residuals are then tested by z-score, pathwise magnitudes
 by refinement ladders.
 
@@ -30,10 +30,12 @@ per-path magnitude of the terms that cancel in it, so that a residual at
 rounding level is judged against their size and not against 1.
 
 The residual families are named in RESIDUAL_NAMES; case_registry(name)
-gives a family's cases and residuals(name, ...) is the one dispatch from a
-family to its residual function, used by the suites and the ladders alike.
-The suites stream the ensemble (`streamed_values`), so the dispatch runs
-once per case and row block. It calls ito_residuals,
+gives a family's cases and residual_block(name, ...) is the one dispatch
+from a family to its residual function, used by the suites and the ladders
+alike. It builds a case's grid-level set-up once and returns the function
+of a row block. The suites stream the ensemble (`streamed_values`) one
+sampler row block at a time, the only blocking below a suite, so that
+function runs once per case and block. It calls ito_residuals,
 product_rule_residuals and wentzell_residuals by their module-global names
 at call time, and the suites call girsanov_check, exponential_mean_report
 and `wick.isometry_check` per block through their module attributes as
@@ -51,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnsupportedCaseError
-from .fbm import HurstParameter, _by_row_blocks, _lift_heap_thresholds, ensemble_values
+from .fbm import HurstParameter, _lift_heap_thresholds, ensemble_values
 from .functions import CylinderFunction, SpaceTimeFunction
 from .grids import TimeGrid
 from .mc import EXACT_REL_TOL, fmean, fsum
@@ -235,8 +237,10 @@ def ito_residuals(
     """Per-path residual of the change-of-variable identity, and its
     magnitude (`_balance`): the noise sum, the exact drift and the half-cell
     compensator sum f_xx a^2 dt^2H / 2; the Wick correction of the noise
-    sum cancels the curvature's lower kernel. block is as in `residuals`."""
-    return _by_row_blocks(w, block or _ito_block(case, ctx, grid))
+    sum cancels the curvature's lower kernel. block, when given, is the
+    case's arithmetic that `residual_block` builds once for every row
+    block; otherwise the call builds it."""
+    return (block or _ito_block(case, ctx, grid))(w)
 
 
 def _ito_block(case: ItoCase, ctx: PhiContext, grid: TimeGrid):
@@ -292,9 +296,9 @@ def product_rule_residuals(
     cross terms, which leaves sum 2 b_x b_y dt^2H / 2. A sum whose
     coefficient is identically zero is not built; a drive whose diffusion
     is identically zero is one time row for every path, and one whose
-    drift is too is the number x0. block is as in `residuals`.
+    drift is too is the number x0. block is as in `ito_residuals`.
     """
-    return _by_row_blocks(w, block or _product_rule_block(x_case, y_case, ctx, grid))
+    return (block or _product_rule_block(x_case, y_case, ctx, grid))(w)
 
 
 def _product_rule_block(x_case: DriveSpec, y_case: DriveSpec, ctx: PhiContext, grid: TimeGrid):
@@ -390,9 +394,9 @@ def wentzell_residuals(
     is built only if its factor and its drive level are not identically
     zero; X is built only if some polynomial has degree 1 or more, and is a
     time row when the diffusion is identically zero. block is as in
-    `residuals`.
+    `ito_residuals`.
     """
-    return _by_row_blocks(w, block or _wentzell_block(case, ctx, grid))
+    return (block or _wentzell_block(case, ctx, grid))(w)
 
 
 def _wentzell_block(case: WentzellCase, ctx: PhiContext, grid: TimeGrid):
@@ -582,35 +586,25 @@ class ConvergenceTable:
         return list(zip(self.grid_sizes, self.rms))
 
 
-def residuals(
-    name: str, case, w: np.ndarray, ctx: PhiContext, grid: TimeGrid, block: Callable | None = None
-) -> np.ndarray:
-    """Per-path residuals of one case of the named family and their
-    magnitudes, the rows of a (2, paths) array; the case goes first, and
-    the family's function is looked up by name at call time.
+def residual_block(name: str, case, ctx: PhiContext, grid: TimeGrid) -> Callable[[np.ndarray], np.ndarray]:
+    """The function from a row block of paths on grid to the residuals of
+    one case of the named family and their magnitudes, the rows of a
+    (2, rows) array.
 
-    block, when given, is residual_block(name, case, ctx, grid): the
-    residual's grid-level set-up, built once for the many row blocks of a
-    streamed ensemble; otherwise the call builds it.
+    The case's grid-level set-up is built here, once for every row block;
+    each block then goes to ito_residuals, product_rule_residuals or
+    wentzell_residuals, looked up by module-global name at call time, with
+    the case first.
     """
     if name == "ito":
-        return ito_residuals(case, w, ctx, grid=grid, block=block)
+        block = _ito_block(case, ctx, grid)
+        return lambda wb: ito_residuals(case, wb, ctx, grid, block)
     if name == "product-rule":
-        return product_rule_residuals(*case, w, ctx, grid=grid, block=block)
+        block = _product_rule_block(*case, ctx, grid)
+        return lambda wb: product_rule_residuals(*case, wb, ctx, grid, block)
     if name == "wentzell":
-        return wentzell_residuals(case, w, ctx, grid=grid, block=block)
-    raise UnsupportedCaseError(f"unknown residual {name!r}; known: {RESIDUAL_NAMES}")
-
-
-def residual_block(name: str, case, ctx: PhiContext, grid: TimeGrid) -> Callable[[np.ndarray], np.ndarray]:
-    """The function from a row block of paths on grid to its residuals and
-    their magnitudes, for one case of the named family."""
-    if name == "ito":
-        return _ito_block(case, ctx, grid)
-    if name == "product-rule":
-        return _product_rule_block(*case, ctx, grid)
-    if name == "wentzell":
-        return _wentzell_block(case, ctx, grid)
+        block = _wentzell_block(case, ctx, grid)
+        return lambda wb: wentzell_residuals(case, wb, ctx, grid, block)
     raise UnsupportedCaseError(f"unknown residual {name!r}; known: {RESIDUAL_NAMES}")
 
 
@@ -657,9 +651,8 @@ def convergence_study(
 
     def rung(n: int):
         stride = n_max // n
-        sub_grid = TimeGrid(fine_grid.points[::stride])
-        block = residual_block(residual_name, case, ctx, sub_grid)
-        return lambda wb: residuals(residual_name, case, wb[:, ::stride], ctx, sub_grid, block)
+        residual = residual_block(residual_name, case, ctx, TimeGrid(fine_grid.points[::stride]))
+        return lambda wb: residual(wb[:, ::stride])
 
     rms, scales = [], []
     for res, magnitude in streamed_values(fine_grid, ctx.hurst, master_seed, n_paths, [rung(n) for n in sizes]):
@@ -783,5 +776,5 @@ RESIDUAL_NAMES = tuple(_CASE_REGISTRIES)
 
 
 def case_registry(name: str, horizon: float = 1.0) -> dict:
-    """Named cases of the residual family name, as residuals() takes them."""
+    """Named cases of the residual family name, as residual_block() takes them."""
     return _CASE_REGISTRIES[name](horizon)

@@ -12,19 +12,18 @@ identity is exact on the grid as well: both of its kernels are differences
 of R. They depend on the grid and H alone, so `isometry_kernels` builds
 them once and every check of a suite shares them. A form whose factor is
 the same constant on every path and cell is a kernel sum times that
-constant squared, so a polynomial integrand of degree 0 needs no dense form
-and one of degree 1 needs only the one of h(W).
+constant squared, so a polynomial integrand with at most one recorded
+coefficient needs no dense form and one with two needs only the one of h(W).
 
 Every integral takes a row block of noise paths, a (paths x nodes) matrix
 on a grid, and returns one value per row; one path is a one-row block. The
 suites stream the ensemble through them one sampler block at a time
-(`verify.streamed_values`), so no check sees the whole ensemble, and a
-larger block is evaluated over fixed row blocks of its own, so no
+(`verify.streamed_values`), so no check sees the whole ensemble and no
 temporary is larger than a block. Every reduction runs along a row, so the
 integrals do not depend on the blocking bit for bit; only the isometry's
 dense forms, matrix products whose accumulation order the BLAS picks from
-the block's row count, may move at rounding level, and the isometry
-streams blocks of at least _FORM_ROWS rows, the blocking of its forms.
+the block's row count, may move at rounding level, and the isometry suite
+streams blocks of at least _FORM_ROWS rows.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import GridMismatchError
-from .fbm import _BLOCK_CELLS, _by_row_blocks, covariance_grid
+from .fbm import covariance_grid
 from .functions import CylinderFunction
 from .grids import TimeGrid
 from .phicalc import PhiContext, _second_difference, phi_norm_sq
@@ -42,10 +41,11 @@ from .stepfn import StepFunction
 # Guard for the exponential functional: exponents beyond this overflow.
 MAX_NORM_SQ = 700.0
 
-# Fewest rows per block of the isometry's dense forms: a (rows x cells) by
-# (cells x cells) product runs at full BLAS speed from about 128 rows. At
-# 2048 cells x 2000 paths on one BLAS thread, one form took 0.52 s in 32-row
-# blocks, 0.34 s in 128-row blocks and 0.37 s unblocked.
+# Fewest rows per sampler block that the isometry suite asks for, for its
+# dense forms: a (rows x cells) by (cells x cells) product runs at full
+# BLAS speed from about 128 rows. At 2048 cells x 2000 paths on one BLAS
+# thread, one form took 0.52 s in 32-row blocks, 0.34 s in 128-row blocks
+# and 0.37 s unblocked.
 _FORM_ROWS = 128
 
 
@@ -81,7 +81,7 @@ def wick_integral_deterministic(f: StepFunction, w: np.ndarray, grid: TimeGrid) 
 
 def _noise_sums(levels: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_i levels_i dW_i per row of w."""
-    return _by_row_blocks(w, lambda wb: (levels * np.diff(wb, axis=1)).sum(axis=1))
+    return (levels * np.diff(w, axis=1)).sum(axis=1)
 
 
 def cylinder_integral_terms(
@@ -100,17 +100,11 @@ def cylinder_integral_terms(
     return raw, corr
 
 
-def exponential_functional(
-    f: StepFunction, w: np.ndarray, ctx: PhiContext, grid: TimeGrid
-) -> np.ndarray:
-    """exp( integral of f dW - ||f||^2_phi / 2 ) per row, mean-one by
-    construction; refused when ||f||^2_phi exceeds MAX_NORM_SQ."""
-    return exponential_block(f, ctx, grid)(w)
-
-
 def exponential_block(f: StepFunction, ctx: PhiContext, grid: TimeGrid) -> Callable[[np.ndarray], np.ndarray]:
-    """exponential_functional as a function of a row block of paths on
-    grid, with the norm and the step levels computed once for all blocks."""
+    """The function from a row block of paths on grid to
+    exp( integral of f dW - ||f||^2_phi / 2 ) per row, mean-one by
+    construction, with the norm and the step levels computed once for all
+    blocks; refused when ||f||^2_phi exceeds MAX_NORM_SQ."""
     norm_sq = phi_norm_sq(f, ctx)
     if norm_sq > MAX_NORM_SQ:
         raise ValueError(
@@ -167,23 +161,23 @@ def isometry_check(
     profiler's span; its report carries the name.
 
     kernels, when given, is isometry_kernels(grid, ctx), shared between
-    checks and row blocks; otherwise the call builds it. A polynomial h of recorded degree
-    0 has constant f = c and zero d, so its right side is c^2 sum(Gamma);
-    one of degree 1 has constant d = h' and its d form is h'^2 sum(A o A^T).
-    Any other form is dense. Both sides are evaluated over row blocks of at
-    least _FORM_ROWS rows: the left side keeps its bits whatever the
-    blocking, while the dense forms, matrix products whose accumulation
-    order the BLAS picks from the block's row count, may move at rounding
-    level; so a caller that streams blocks of at least _FORM_ROWS rows
-    gets the bits of one call on the whole matrix.
+    checks and row blocks; otherwise the call builds it. A polynomial h
+    with at most one recorded coefficient (CylinderFunction.coeffs) has
+    constant f = c and zero d, so its right side is c^2 sum(Gamma); one
+    with two has constant d = h' and its d form is h'^2 sum(A o A^T). Any
+    other form is dense. Both sides are evaluated on the rows of w at
+    once: the left side is a row sum, whose bits no blocking moves, while
+    the dense forms are matrix products whose accumulation order the BLAS
+    picks from the row count, so they keep their bits only on blocks of the
+    same rows.
     """
     if isinstance(integrand, StepFunction):
         lhs = wick_integral_deterministic(integrand, w, grid) ** 2
         return np.stack((lhs, np.full(lhs.shape, phi_norm_sq(integrand, ctx))))
     gamma, cross_kernel, gamma_sum, cross_sum = isometry_kernels(grid, ctx) if kernels is None else kernels
-    degree, origin = integrand.degree, np.zeros(1)
-    f_sum = integrand.value(origin)[0] ** 2 * gamma_sum if degree == 0 else None
-    d_sum = integrand.deriv(origin)[0] ** 2 * cross_sum if degree in (0, 1) else None
+    coeffs, origin = integrand.coeffs, np.zeros(1)
+    f_sum = integrand.value(origin)[0] ** 2 * gamma_sum if coeffs is not None and len(coeffs) <= 1 else None
+    d_sum = integrand.deriv(origin)[0] ** 2 * cross_sum if coeffs is not None and len(coeffs) <= 2 else None
 
     def form(factor, kernel, constant, left):
         if constant is not None:
@@ -191,11 +185,8 @@ def isometry_check(
         x = factor(left)
         return np.einsum("pi,pi->p", x @ kernel, x)
 
-    def block(wb):
-        raw, corr = cylinder_integral_terms(integrand, wb, grid, ctx)
-        left = wb[:, :-1]
-        rhs = form(integrand.value, gamma, f_sum, left)
-        rhs += form(integrand.deriv, cross_kernel, d_sum, left)
-        return np.stack(((raw - corr) ** 2, rhs))
-
-    return _by_row_blocks(w, block, max(_FORM_ROWS, _BLOCK_CELLS // w.shape[1]))
+    raw, corr = cylinder_integral_terms(integrand, w, grid, ctx)
+    left = w[:, :-1]
+    rhs = form(integrand.value, gamma, f_sum, left)
+    rhs += form(integrand.deriv, cross_kernel, d_sum, left)
+    return np.stack(((raw - corr) ** 2, rhs))

@@ -4,7 +4,9 @@ Every helper here recomputes a quantity the library also produces, but by a
 deliberately different route (adaptive quadrature instead of closed-form
 rectangle algebra, incomplete-gamma integrals instead of step projections,
 permutation resampling instead of parametric statistics). Agreement between
-the two routes is what the tests assert.
+the two routes is what the tests assert. ensemble_matrix is the one
+exception: it joins the sampler's own row blocks, for the tests that take
+a whole (paths x nodes) matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +16,15 @@ import math
 
 import numpy as np
 from scipy import integrate, optimize, special
+
+from fracwick.fbm import ensemble_values
+
+
+def ensemble_matrix(method, grid, h, master_seed, n_paths, min_rows=1) -> np.ndarray:
+    """The (paths x nodes) matrix of an ensemble: the sampler's row blocks,
+    copied out of its buffers and joined in row order."""
+    blocks = ensemble_values(method, grid, h, master_seed, n_paths, keep=lambda lo, b: b.copy(), min_rows=min_rows)
+    return np.concatenate(blocks)
 
 
 def phi_rect_quadrature(

@@ -160,7 +160,7 @@ class TestStreamContract:
         grid = TimeGrid(np.array([0.0, 0.1, 0.35, 0.4, 0.8, 1.0]))
         h = HurstParameter(0.7)
         chol = CovarianceMatrix(grid, h).cholesky()
-        vals = ensemble_values("cholesky", grid, h, 9, 6)
+        vals = oracles.ensemble_matrix("cholesky", grid, h, 9, 6)
         for i in range(6):
             z = SeedSpec(9, i).generator().standard_normal(grid.n_intervals)
             assert vals[i, 0] == 0.0
@@ -216,18 +216,18 @@ class TestGenerators:
     def test_same_seed_is_byte_identical(self, method):
         grid = TimeGrid.uniform(32, 1.0)
         h = HurstParameter(0.7)
-        a = ensemble_values(method, grid, h, 11, 3)
-        b = ensemble_values(method, grid, h, 11, 3)
+        a = oracles.ensemble_matrix(method, grid, h, 11, 3)
+        b = oracles.ensemble_matrix(method, grid, h, 11, 3)
         assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("method", GENERATORS)
     def test_streams_differ(self, method):
-        vals = ensemble_values(method, TimeGrid.uniform(16, 1.0), HurstParameter(0.7), 11, 2)
+        vals = oracles.ensemble_matrix(method, TimeGrid.uniform(16, 1.0), HurstParameter(0.7), 11, 2)
         assert not np.array_equal(vals[0], vals[1])
 
     @pytest.mark.parametrize("method", GENERATORS)
     def test_paths_start_at_zero(self, method):
-        vals = ensemble_values(method, TimeGrid.uniform(8, 1.0), HurstParameter(0.6), 0, 3)
+        vals = oracles.ensemble_matrix(method, TimeGrid.uniform(8, 1.0), HurstParameter(0.6), 0, 3)
         assert np.all(vals[:, 0] == 0.0)
 
     @pytest.mark.parametrize("method", GENERATORS)
@@ -238,8 +238,8 @@ class TestGenerators:
         # the BLAS picks from the row count, so it is held to rounding.
         grid = TimeGrid.uniform(16, 1.0)
         h = HurstParameter(0.75)
-        eight = ensemble_values(method, grid, h, 5, 8)
-        four = ensemble_values(method, grid, h, 5, 4)
+        eight = oracles.ensemble_matrix(method, grid, h, 5, 8)
+        four = oracles.ensemble_matrix(method, grid, h, 5, 4)
         if method == "cholesky":
             np.testing.assert_allclose(eight[:4], four, rtol=1e-12, atol=1e-15)
         else:
@@ -247,24 +247,24 @@ class TestGenerators:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown generator"):
-            ensemble_values("fft", TimeGrid.uniform(4, 1.0), HurstParameter(0.7), 0, 1)
+            oracles.ensemble_matrix("fft", TimeGrid.uniform(4, 1.0), HurstParameter(0.7), 0, 1)
 
     @pytest.mark.parametrize("method", ["circulant", "hosking"])
     def test_uniform_grid_required(self, method):
         grid = TimeGrid(np.array([0.0, 0.4, 1.0]))
         with pytest.raises(ValueError, match="uniform"):
-            ensemble_values(method, grid, HurstParameter(0.7), 0, 1)
+            oracles.ensemble_matrix(method, grid, HurstParameter(0.7), 0, 1)
 
     def test_cholesky_accepts_irregular_grid(self):
         grid = TimeGrid(np.array([0.0, 0.4, 0.45, 1.0]))
-        vals = ensemble_values("cholesky", grid, HurstParameter(0.7), 0, 1)
+        vals = oracles.ensemble_matrix("cholesky", grid, HurstParameter(0.7), 0, 1)
         assert vals.shape == (1, 4)
 
     @pytest.mark.parametrize("method", GENERATORS)
     def test_brownian_increments_are_standard_normal(self, method):
         # At H = 1/2 the increments over a uniform grid are iid N(0, dt).
         grid = TimeGrid.uniform(64, 1.0)
-        vals = ensemble_values(method, grid, HurstParameter(0.5), 202, 200)
+        vals = oracles.ensemble_matrix(method, grid, HurstParameter(0.5), 202, 200)
         incs = np.diff(vals, axis=1).ravel() / np.sqrt(1.0 / 64.0)
         _, p = stats.kstest(incs, "norm")
         assert p > 0.01, f"{method} H=1/2 increments fail KS: p = {p:.4f}"
@@ -275,8 +275,8 @@ class TestGenerators:
     def test_cross_generator_terminal_law(self, pair):
         grid = TimeGrid.uniform(32, 1.0)
         h = HurstParameter(0.8)
-        x = ensemble_values(pair[0], grid, h, 31, 400)[:, -1]
-        y = ensemble_values(pair[1], grid, h, 32, 400)[:, -1]
+        x = oracles.ensemble_matrix(pair[0], grid, h, 31, 400)[:, -1]
+        y = oracles.ensemble_matrix(pair[1], grid, h, 32, 400)[:, -1]
         p = oracles.energy_permutation_pvalue(x, y, n_perm=199, seed=1)
         assert p > 0.01, f"{pair} terminal-value energy test: p = {p:.4f}"
 
@@ -290,26 +290,31 @@ class TestRowBlocks:
         grid = TimeGrid.uniform(self.GRID_N, 1.0)
         h = HurstParameter(0.7)
         n_paths = 3 * self.BLOCK + 20
-        return {m: ensemble_values(m, grid, h, 4, n_paths) for m in ("circulant", "hosking")}
+        return {m: oracles.ensemble_matrix(m, grid, h, 4, n_paths) for m in ("circulant", "hosking")}
 
     @pytest.mark.parametrize("method", ["circulant", "hosking"])
     @pytest.mark.parametrize("n_paths", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
     def test_ensemble_is_prefix_of_larger_bitwise(self, larger, method, n_paths):
         assert self.BLOCK > 1
         grid = TimeGrid.uniform(self.GRID_N, 1.0)
-        vals = ensemble_values(method, grid, HurstParameter(0.7), 4, n_paths)
+        vals = oracles.ensemble_matrix(method, grid, HurstParameter(0.7), 4, n_paths)
         assert vals.shape == (n_paths, self.GRID_N + 1)
         assert vals.tobytes() == larger[method][:n_paths].tobytes()
 
-    def test_peak_memory_is_result_plus_one_block(self):
+    def test_peak_memory_is_one_block_of_buffers(self, monkeypatch):
+        # 512 paths of 4097 nodes are 16 MiB; with a consumer that keeps
+        # W_T, the sampler holds one worker's 15-row buffers and its FFT
+        # temporaries, about 3.6 MiB
+        monkeypatch.setenv("FRACWICK_THREADS", "1")
         grid = TimeGrid.uniform(4096, 1.0)
         tracemalloc.start()
         try:
-            vals = ensemble_values("circulant", grid, HurstParameter(0.7), 0, 512)
+            ensemble_values("circulant", grid, HurstParameter(0.7), 0, 512, keep=lambda lo, b: b[:, -1].copy())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * vals.nbytes, f"peak {peak / 2**20:.1f} MiB for a {vals.nbytes / 2**20:.1f} MiB result"
+        paths = 512 * 4097 * 8
+        assert peak < paths / 4, f"peak {peak / 2**20:.1f} MiB for {paths / 2**20:.1f} MiB of paths"
 
 
 class TestBlockCore:
@@ -324,7 +329,7 @@ class TestBlockCore:
         runs = {}
         for threads in ("1", "2", "4"):
             monkeypatch.setenv("FRACWICK_THREADS", threads)
-            runs[threads] = ensemble_values(method, grid, HurstParameter(0.7), 3, self.N_PATHS).tobytes()
+            runs[threads] = oracles.ensemble_matrix(method, grid, HurstParameter(0.7), 3, self.N_PATHS).tobytes()
         assert runs["1"] == runs["2"] == runs["4"]
 
     @pytest.mark.parametrize("method", GENERATORS)
@@ -332,10 +337,16 @@ class TestBlockCore:
         monkeypatch.setenv("FRACWICK_THREADS", "4")
         grid = TimeGrid.uniform(self.GRID_N, 1.0)
         h = HurstParameter(0.7)
-        whole = ensemble_values(method, grid, h, 3, self.N_PATHS)
         kept = ensemble_values(method, grid, h, 3, self.N_PATHS, keep=lambda lo, b: (lo, b.copy()))
         assert [(lo, b.shape) for lo, b in kept] == [(0, (255, 257)), (255, (255, 257)), (510, (90, 257))]
-        assert np.concatenate([b for _, b in kept]).tobytes() == whole.tobytes()
+        # the same rows drawn as one block; the cholesky product may
+        # accumulate in an order the BLAS picks from the row count
+        joined = np.concatenate([b for _, b in kept])
+        whole = oracles.ensemble_matrix(method, grid, h, 3, self.N_PATHS, min_rows=self.N_PATHS)
+        if method == "cholesky":
+            np.testing.assert_allclose(joined, whole, rtol=1e-12, atol=1e-15)
+        else:
+            assert joined.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("h", [0.3, 0.55, 0.7, 0.9])
@@ -347,15 +358,15 @@ def test_hosking_rows_are_cholesky_rows_on_the_same_streams(n, h):
     # per stream, both samplers give the same rows up to rounding.
     grid = TimeGrid.uniform(n, 1.0)
     hp = HurstParameter(h)
-    hosking = ensemble_values("hosking", grid, hp, 13, 8)
-    cholesky = ensemble_values("cholesky", grid, hp, 13, 8)
+    hosking = oracles.ensemble_matrix("hosking", grid, hp, 13, 8)
+    cholesky = oracles.ensemble_matrix("cholesky", grid, hp, 13, 8)
     assert np.max(np.abs(hosking - cholesky)) <= 1e-10 * np.max(np.abs(cholesky))
 
 
 class TestEmpiricalCovariance:
     def test_covariance_of_the_given_columns(self):
         grid = TimeGrid.uniform(4, 1.0)
-        vals = ensemble_values("circulant", grid, HurstParameter(0.7), 0, 16)
+        vals = oracles.ensemble_matrix("circulant", grid, HurstParameter(0.7), 0, 16)
         cov, stderr = empirical_covariance(vals[:, 1:])
         assert cov.shape == (4, 4) and stderr.shape == (4, 4)
 

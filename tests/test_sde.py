@@ -18,7 +18,6 @@ from fracwick import (
     SdeSpec,
     StepFunction,
     TimeGrid,
-    ensemble_values,
     fou_oracle,
     make_fou,
     phi_norm_sq,
@@ -32,7 +31,7 @@ H = HurstParameter(0.7)
 
 def _noise(n, n_paths, seed):
     grid = TimeGrid.uniform(n, 1.0)
-    return grid, ensemble_values("circulant", grid, H, seed, n_paths)
+    return grid, oracles.ensemble_matrix("circulant", grid, H, seed, n_paths)
 
 
 def test_flow_euler_equals_direct_euler_for_nonlinear_drift():
@@ -258,7 +257,7 @@ def test_picard_by_blocks_is_within_tol_of_one_whole_ensemble_solve(tmp_path):
     with open(tmp_path / "out" / "report.csv", newline="") as fh:
         got = {row["test_name"]: float(row["estimate"]) for row in csv.DictReader(fh)}
     grid = TimeGrid.uniform(cfg["grid_n"], 1.0)
-    w = ensemble_values("circulant", grid, H, cfg["master_seed"], cfg["n_paths"])
+    w = oracles.ensemble_matrix("circulant", grid, H, cfg["master_seed"], cfg["n_paths"])
     whole = solve_picard(make_fou(1.0, 1.0, 1.0), grid, w, cfg["tol"])
     for t in cfg["checkpoints"]:
         samples = whole.x[:, int(np.searchsorted(grid.points, t))]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+import oracles
 from fracwick import (
     CylinderFunction,
     HurstParameter,
@@ -21,7 +22,6 @@ from fracwick import (
     TimeGrid,
     cli,
     empirical_covariance,
-    ensemble_values,
     svgplot,
     verify,
 )
@@ -194,7 +194,7 @@ def test_generate_streams_the_whole_ensemble_artifacts(tmp_path, monkeypatch):
     grid = TimeGrid.uniform(n, 1.0)
     rows = []
     for gen in GENERATOR_NAMES:
-        vals = ensemble_values(gen, grid, HurstParameter(0.7), 5, GENERATE_BLOCKS["n_paths"])
+        vals = oracles.ensemble_matrix(gen, grid, HurstParameter(0.7), 5, GENERATE_BLOCKS["n_paths"])
         rows += [
             (n, MonteCarloReport.from_samples(f"{gen}:mean@T", vals[:, -1], 0.0)),
             (n, MonteCarloReport.from_samples(f"{gen}:variance@T", vals[:, -1] ** 2, 1.0)),
@@ -289,13 +289,22 @@ def _whole_matrix_reports(suite, w, ctx, grid):
             "w2": CylinderFunction.monomial(2),
         }
         kernels = isometry_kernels(grid, ctx)
-        sides = {name: isometry_check(f, w, ctx, grid=grid, kernels=kernels) for name, f in integrands.items()}
+        # the dense forms are matrix products whose accumulation order the
+        # BLAS picks from the row count, so they run on the suite's blocks
+        rows = max(block_rows(grid.n_intervals + 1), _FORM_ROWS)
+        sides = {
+            name: np.concatenate(
+                [isometry_check(f, w[lo : lo + rows], ctx, grid=grid, kernels=kernels) for lo in range(0, len(w), rows)],
+                axis=-1,
+            )
+            for name, f in integrands.items()
+        }
         return [MonteCarloReport.from_paired(f"isometry:{name}", *v) for name, v in sides.items()]
     family = suite.removeprefix("verify-")
     registry = verify.case_registry(family)
     reports = []
     for name in verify.ITO_MEAN_ZERO_CASES if family == "ito" else registry:
-        res, magnitude = verify.residuals(family, registry[name], w, ctx, grid)
+        res, magnitude = verify.residual_block(family, registry[name], ctx, grid)(w)
         reports.append(MonteCarloReport.from_samples(f"{family}:{name}", res, 0.0, scale=fmean(magnitude)))
     return reports
 
@@ -315,11 +324,12 @@ def test_streamed_report_is_the_same_under_one_and_two_threads(streamed_runs, su
 
 @pytest.mark.parametrize("suite", [s for s in STREAMED_SUITES if s != "converge"])
 def test_streamed_suite_equals_its_checks_on_the_whole_matrix(streamed_runs, tmp_path, suite):
-    # every value is a function of its own row, so the blocks the sampler
-    # hands the checks change no bit of any report
+    # every value but the isometry's dense forms is a function of its own
+    # row, so the blocks the sampler hands the checks change no bit of any
+    # report
     ctx = PhiContext(HurstParameter(0.7))
     grid = TimeGrid.uniform(STREAMED["grid_n"], 1.0)
-    w = ensemble_values("circulant", grid, ctx.hurst, STREAMED["master_seed"], STREAMED["n_paths"])
+    w = oracles.ensemble_matrix("circulant", grid, ctx.hurst, STREAMED["master_seed"], STREAMED["n_paths"])
     rows = [(STREAMED["grid_n"], r) for r in _whole_matrix_reports(suite, w, ctx, grid)]
     write_report_csv(rows, str(tmp_path / "report.csv"))
     same = (tmp_path / "report.csv").read_bytes() == (streamed_runs["1", suite] / "report.csv").read_bytes()
@@ -329,12 +339,12 @@ def test_streamed_suite_equals_its_checks_on_the_whole_matrix(streamed_runs, tmp
 def test_streamed_ladder_equals_the_whole_matrix_rungs(streamed_runs):
     ctx = PhiContext(HurstParameter(0.7))
     fine = TimeGrid.uniform(STREAMED_LADDER[-1], 1.0)
-    w = ensemble_values("circulant", fine, ctx.hurst, STREAMED["master_seed"], STREAMED["n_paths"])
+    w = oracles.ensemble_matrix("circulant", fine, ctx.hurst, STREAMED["master_seed"], STREAMED["n_paths"])
     case = verify.case_registry("ito")["x2"]
     want = []
     for n in STREAMED_LADDER:
         stride = STREAMED_LADDER[-1] // n
-        res, _ = verify.residuals("ito", case, w[:, ::stride], ctx, TimeGrid(fine.points[::stride]))
+        res, _ = verify.residual_block("ito", case, ctx, TimeGrid(fine.points[::stride]))(w[:, ::stride])
         want.append([str(n), format_float(math.sqrt(fsum(res * res) / res.size))])
     with open(streamed_runs["1", "converge"] / "ladder.csv", newline="") as fh:
         assert list(csv.reader(fh))[1:] == want

@@ -1,4 +1,4 @@
-"""Residual kernels, row-blocked residual arithmetic, ladders, guards and
+"""Residual kernels, row-local residual arithmetic, ladders, guards and
 the configuration errors the CLI turns into exit status 2."""
 
 import csv
@@ -15,13 +15,11 @@ from fracwick import (
     PhiContext,
     StepFunction,
     TimeGrid,
-    ensemble_values,
     exponential_mean_report,
     girsanov_check,
+    isometry_check,
     ito_case_registry,
     ito_residuals,
-    product_rule_case_registry,
-    product_rule_residuals,
     rect_weight_matrix,
     wentzell_case_registry,
     wentzell_residuals,
@@ -116,9 +114,9 @@ class TestSurvivingTerms:
     def test_matches_term_by_term_reference(self, family, grid_name, h):
         ctx = PhiContext(HurstParameter(h))
         grid = TimeGrid.uniform(64, 1.0) if grid_name == "uniform" else _split_irregular_grid()
-        w = ensemble_values("cholesky", grid, ctx.hurst, 7, 64)
+        w = oracles.ensemble_matrix("cholesky", grid, ctx.hurst, 7, 64)
         for name, case in _cases(family).items():
-            got, _ = verify.residuals(family, case, w, ctx, grid)
+            got, _ = verify.residual_block(family, case, ctx, grid)(w)
             want = _REFERENCES[family](*_case_args(family, case), w, ctx, grid)
             gap = np.abs(got - want).max()
             assert gap <= 1e-13 * max(1.0, np.abs(want).max()), f"{family}:{name} off by {gap:.3e}"
@@ -177,10 +175,10 @@ class TestDegreeAwareArithmetic:
     def test_matches_polyval_arithmetic(self, family, grid_name, h):
         ctx = PhiContext(HurstParameter(h))
         grid = TimeGrid.uniform(64, 1.0) if grid_name == "uniform" else _split_irregular_grid()
-        w = ensemble_values("cholesky", grid, ctx.hurst, 7, 64)
+        w = oracles.ensemble_matrix("cholesky", grid, ctx.hurst, 7, 64)
         cases = {**_cases(family), **_recorded_coefficient_cases(family)}
         for name, case in cases.items():
-            got, _ = verify.residuals(family, case, w, ctx, grid)
+            got, _ = verify.residual_block(family, case, ctx, grid)(w)
             want = _POLYVAL[family](*_case_args(family, case), w, ctx, grid)
             assert got.shape == want.shape
             if (family, name) in self.REORDERED:
@@ -204,7 +202,7 @@ class TestDegreeAwareArithmetic:
 
         ctx = PhiContext(HurstParameter(0.7))
         grid = TimeGrid.uniform(32, 1.0)
-        w = ensemble_values("circulant", grid, ctx.hurst, 3, 16)
+        w = oracles.ensemble_matrix("circulant", grid, ctx.hurst, 3, 16)
         plain = verify.case_registry(family)[name]
         if family == "ito":
             # x1's second derivative is the zero polynomial
@@ -213,8 +211,8 @@ class TestDegreeAwareArithmetic:
         else:
             zero = dataclasses.replace(CylinderFunction.polynomial([0.0]), value=boom, deriv=boom, deriv2=boom)
             spied = dataclasses.replace(plain, **{z: zero for z in zeros})
-        got = verify.residuals(family, spied, w, ctx, grid)
-        assert np.array_equal(got, verify.residuals(family, plain, w, ctx, grid))
+        got = verify.residual_block(family, spied, ctx, grid)(w)
+        assert np.array_equal(got, verify.residual_block(family, plain, ctx, grid)(w))
 
 
 class TestRecordedCoefficients:
@@ -265,48 +263,49 @@ class TestRecordedCoefficients:
             assert np.array_equal(fn(0.7, x[:, 3]), pv2(np.full(5, 0.7), x[:, 3], cc))
 
 
-def _all_residuals(w, ctx, grid):
-    out = []
-    for case in ito_case_registry().values():
-        out.append(ito_residuals(case, w, ctx, grid=grid))
-    for x_case, y_case in product_rule_case_registry().values():
-        out.append(product_rule_residuals(x_case, y_case, w, ctx, grid=grid))
-    for case in wentzell_case_registry().values():
-        out.append(wentzell_residuals(case, w, ctx, grid=grid))
-    return out
+def _row_local_checks(ctx, grid):
+    """Every check whose value for a row reads that row alone, as a
+    function of a row block: each residual case, each girsanov case, the
+    exponential and the isometry's step integrands."""
+    checks = {
+        f"{family}:{name}": verify.residual_block(family, case, ctx, grid)
+        for family in verify.RESIDUAL_NAMES
+        for name, case in verify.case_registry(family).items()
+    }
+    for name, (fn, g) in verify.girsanov_case_registry().items():
+        checks[f"girsanov:{name}"] = lambda wb, fn=fn, g=g: girsanov_check(fn, g, wb, ctx, grid=grid)
+    unit = StepFunction.constant(1.0, 1.0)
+    checks["exponential"] = lambda wb: exponential_mean_report(unit, wb, ctx, grid=grid)
+    for name, f in (("step-const", unit), ("step-halves", verify.halves(1.0))):
+        checks[f"isometry:{name}"] = lambda wb, f=f: isometry_check(f, wb, ctx, grid=grid)
+    return checks
 
 
 class TestRowBlocks:
     GRID_N = 512
-    BLOCK = fbm._BLOCK_CELLS // GRID_N
+    BLOCK = fbm.block_rows(GRID_N + 1)
 
     @pytest.fixture(scope="class")
     def noise(self):
         ctx = PhiContext(HurstParameter(0.7))
         grid = TimeGrid.uniform(self.GRID_N, 1.0)
-        w = ensemble_values("circulant", grid, ctx.hurst, 17, 3 * self.BLOCK + 7)
+        w = oracles.ensemble_matrix("circulant", grid, ctx.hurst, 17, 3 * self.BLOCK + 7)
         return ctx, grid, w
 
-    @pytest.mark.parametrize("n_paths", [1, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 7])
-    def test_blocked_equals_single_block_bitwise(self, noise, n_paths, monkeypatch):
+    @pytest.mark.parametrize("place", ["block-edge", "mid-block", "strided"])
+    def test_rows_alone_equal_the_same_rows_of_the_whole_matrix(self, noise, place):
+        # the suites hand each check one sampler block; every value is a
+        # function of its own row, so no blocking moves a bit of it. Ladders
+        # pass every other column of the fine paths, not a copy
         ctx, grid, w = noise
         assert self.BLOCK > 1
-        blocked = _all_residuals(w[:n_paths], ctx, grid)
-        monkeypatch.setattr(fbm, "_BLOCK_CELLS", 2**62)
-        whole = _all_residuals(w[:n_paths], ctx, grid)
-        for got, want in zip(blocked, whole):
-            assert got.shape == (2, n_paths)
-            assert got.tobytes() == want.tobytes()
-
-    def test_strided_restriction_equals_single_block_bitwise(self, noise, monkeypatch):
-        # ladders pass every other column of the fine paths, not a copy
-        ctx, grid, w = noise
-        sub_grid = TimeGrid(grid.points[::2])
-        blocked = _all_residuals(w[:, ::2], ctx, sub_grid)
-        monkeypatch.setattr(fbm, "_BLOCK_CELLS", 2**62)
-        whole = _all_residuals(w[:, ::2], ctx, sub_grid)
-        for got, want in zip(blocked, whole):
-            assert got.tobytes() == want.tobytes()
+        lo, hi = (self.BLOCK + 40, self.BLOCK + 60) if place == "mid-block" else (self.BLOCK - 5, self.BLOCK + 6)
+        if place == "strided":
+            w, grid = w[:, ::2], TimeGrid(grid.points[::2])
+        for name, check in _row_local_checks(ctx, grid).items():
+            whole = check(w)
+            assert whole.shape[-1] == w.shape[0], name
+            assert check(w[lo:hi]).tobytes() == whole[..., lo:hi].tobytes(), name
 
     def test_x2_residual_is_quadratic_variation_defect(self, noise):
         # f = x^2: the Wick and curvature kernels cancel, leaving
@@ -320,7 +319,7 @@ class TestRowBlocks:
         ctx = PhiContext(HurstParameter(0.7))
         n = 2048
         grid = TimeGrid.uniform(n, 1.0)
-        w = ensemble_values("circulant", grid, ctx.hurst, 5, 64)
+        w = oracles.ensemble_matrix("circulant", grid, ctx.hurst, 5, 64)
         case = wentzell_case_registry()["quad"]
         tracemalloc.start()
         try:
@@ -498,7 +497,7 @@ class TestRoundingScale:
     def test_magnitude_is_the_sum_of_the_cancelling_terms(self):
         ctx = PhiContext(HurstParameter(0.7))
         grid = TimeGrid.uniform(16, 1e5)
-        w = ensemble_values("circulant", grid, ctx.hurst, 0, 4)
+        w = oracles.ensemble_matrix("circulant", grid, ctx.hurst, 0, 4)
         res, mag = wentzell_residuals(wentzell_case_registry(1e5)["deterministic"], w, ctx, grid=grid)
         # F(X) = 1 + X + X^2 / 2 along X = 0.3 + 0.7 t: |F(X_T)| + |F(x0)|
         # plus the drift sum, which equals their difference to rounding

@@ -1,7 +1,6 @@
 """Wick-Riemann integrals, exponential functionals, second-moment identity."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,22 +17,20 @@ from fracwick import (
     TimeGrid,
     MonteCarloReport,
     covariance_grid,
-    ensemble_values,
-    exponential_functional,
     isometry_check,
     phi_norm_sq,
     wick_integral_deterministic,
 )
 from fracwick import wick
 from fracwick.mc import fmean, sample_stderr
-from fracwick.wick import cylinder_integral_terms, isometry_kernels, left_corrections
+from fracwick.wick import cylinder_integral_terms, exponential_block, isometry_kernels, left_corrections
 
 CTX = PhiContext(HurstParameter(0.75))
 
 
 def _stream_zero(grid, master_seed):
     """One-row ensemble: the circulant path on stream 0 of master_seed at H = 0.75."""
-    return ensemble_values("circulant", grid, CTX.hurst, master_seed, 1)
+    return oracles.ensemble_matrix("circulant", grid, CTX.hurst, master_seed, 1)
 
 
 def _isometry_report(integrand, w, ctx, grid, kernels=None):
@@ -118,7 +115,7 @@ class TestCylinderIntegral:
         h = HurstParameter(0.7)
         ctx = PhiContext(h)
         grid = TimeGrid.uniform(512, 1.0)
-        vals = ensemble_values("circulant", grid, h, 77, 200)
+        vals = oracles.ensemble_matrix("circulant", grid, h, 77, 200)
         value = _wick_integral(CylinderFunction.monomial(1), vals, grid, ctx)
         rho = value - 0.5 * (vals[:, -1] ** 2 - 1.0)
         rms = float(np.sqrt(np.mean(rho**2)))
@@ -126,7 +123,7 @@ class TestCylinderIntegral:
 
     def test_batched_terms_match_single_path(self):
         grid = TimeGrid.uniform(16, 1.0)
-        vals = ensemble_values("circulant", grid, CTX.hurst, 9, 3)
+        vals = oracles.ensemble_matrix("circulant", grid, CTX.hurst, 9, 3)
         fn = CylinderFunction.sine(1.5)
         raw, corr = cylinder_integral_terms(fn, vals, grid, CTX)
         kernel = left_corrections(grid, CTX)
@@ -144,30 +141,30 @@ class TestExponentialFunctional:
         grid = TimeGrid.uniform(4, 1.0)
         flat = np.zeros((1, 5))
         f = StepFunction.indicator(0.0, 1.0)
-        got = exponential_functional(f, flat, CTX, grid)[0]
+        got = exponential_block(f, CTX, grid)(flat)[0]
         assert got == pytest.approx(math.exp(-0.5), rel=1e-13), (
             f"exp(0 - ||f||^2/2) with ||f||^2 = 1 should be {math.exp(-0.5)}"
         )
 
     def test_mean_one_property(self):
         grid = TimeGrid.uniform(64, 1.0)
-        vals = ensemble_values("circulant", grid, CTX.hurst, 404, 4000)
+        vals = oracles.ensemble_matrix("circulant", grid, CTX.hurst, 404, 4000)
         f = StepFunction.indicator(0.0, 1.0)
-        eps = exponential_functional(f, vals, CTX, grid)
+        eps = exponential_block(f, CTX, grid)(vals)
         z = (fmean(eps) - 1.0) / sample_stderr(eps)
         assert abs(z) < 4.0, f"mean of the exponential functional: z = {z:.2f}"
 
     def test_overflow_guard(self):
         f = StepFunction.constant(40.0, 1.0)
         with pytest.raises(ValueError, match="overflow guard"):
-            exponential_functional(f, np.zeros((1, 3)), CTX, TimeGrid.uniform(2, 1.0))
+            exponential_block(f, CTX, TimeGrid.uniform(2, 1.0))
 
     def test_scale_invariance_in_time_units(self):
         # epsilon(f) depends on the path only through the integral of f dW
         grid = TimeGrid.uniform(8, 1.0)
         w = _stream_zero(grid, 5)
         f = StepFunction.constant(0.7, 1.0)
-        got = exponential_functional(f, w, CTX, grid)[0]
+        got = exponential_block(f, CTX, grid)(w)[0]
         manual = math.exp(
             0.7 * w[0, -1] - 0.5 * phi_norm_sq(f, CTX)
         )
@@ -177,7 +174,7 @@ class TestExponentialFunctional:
 class TestIsometry:
     def test_step_integrand_report(self):
         grid = TimeGrid.uniform(64, 1.0)
-        vals = ensemble_values("circulant", grid, CTX.hurst, 21, 4000)
+        vals = oracles.ensemble_matrix("circulant", grid, CTX.hurst, 21, 4000)
         f = StepFunction(
             TimeGrid(np.array([0.0, 0.25, 1.0])), np.array([1.0, -2.0])
         )
@@ -192,7 +189,7 @@ class TestIsometry:
         monkeypatch.setattr(wick, "left_corrections", lambda grid, ctx: np.zeros(grid.n_intervals))
         ctx = PhiContext(HurstParameter(0.7))
         grid = TimeGrid.uniform(256, 1.0)
-        vals = ensemble_values("circulant", grid, ctx.hurst, seed, 2000)
+        vals = oracles.ensemble_matrix("circulant", grid, ctx.hurst, seed, 2000)
         kernels = isometry_kernels(grid, ctx)
         for degree in (1, 2):
             report = _isometry_report(CylinderFunction.monomial(degree), vals, ctx, grid=grid, kernels=kernels)
@@ -206,7 +203,7 @@ class TestIsometry:
         # right-skewed S^2, where a normal-theory correction loses it
         ctx = PhiContext(HurstParameter(0.7))
         grid = TimeGrid.uniform(128, 1.0)
-        vals = ensemble_values("circulant", grid, ctx.hurst, seed, 4000)
+        vals = oracles.ensemble_matrix("circulant", grid, ctx.hurst, seed, 4000)
         r = covariance_grid(grid.points, ctx.hurst)
         a = r[:-1, 1:] - r[:-1, :-1]
         kernels = isometry_kernels(grid, ctx)._replace(cross=a * a, cross_sum=(a * a).sum())
@@ -223,7 +220,7 @@ class TestIsometry:
     def test_constant_cylinder_matches_variance(self, h):
         ctx = PhiContext(HurstParameter(h))
         grid = TimeGrid.uniform(64, 1.0)
-        vals = ensemble_values("circulant", grid, ctx.hurst, 22, 4000)
+        vals = oracles.ensemble_matrix("circulant", grid, ctx.hurst, 22, 4000)
         report = _isometry_report(CylinderFunction.constant(1.0), vals, ctx, grid=grid)
         assert report.verdict, f"H={h}: z = {report.z_score:.2f}"
 
@@ -234,7 +231,7 @@ class TestIsometry:
         # whose means are the Beta-form closed values.
         ctx = PhiContext(HurstParameter(h))
         grid = TimeGrid.uniform(128, 1.0)
-        vals = ensemble_values("circulant", grid, ctx.hurst, 23, 4000)
+        vals = oracles.ensemble_matrix("circulant", grid, ctx.hurst, 23, 4000)
         report = _isometry_report(CylinderFunction.monomial(1), vals, ctx, grid=grid)
         assert report.verdict, f"H={h}: paired z = {report.z_score:.2f}"
 
@@ -253,7 +250,7 @@ class TestIsometry:
         ) + oracles.cross_kernel_integral(1.0, h)
         assert want == pytest.approx(0.5, rel=1e-12), "closed forms must total 0.5"
         grid = TimeGrid.uniform(128, 1.0)
-        vals = ensemble_values("circulant", grid, ctx.hurst, 24, 4000)
+        vals = oracles.ensemble_matrix("circulant", grid, ctx.hurst, 24, 4000)
         lhs = _wick_integral(CylinderFunction.monomial(1), vals, grid, ctx) ** 2
         z = (fmean(lhs) - want) / sample_stderr(lhs)
         assert abs(z) < 4.0, f"second moment vs Beta closed forms: z = {z:.2f}"
@@ -285,47 +282,56 @@ class TestIsometry:
         # standard errors at this many paths; the exact form is not.
         ctx = PhiContext(HurstParameter(0.7))
         grid = TimeGrid.uniform(8, 1.0)
-        vals = ensemble_values("circulant", grid, ctx.hurst, 7, 20_000)
+        vals = oracles.ensemble_matrix("circulant", grid, ctx.hurst, 7, 20_000)
         report = _isometry_report(CylinderFunction.monomial(degree), vals, ctx, grid=grid)
         assert report.verdict, f"degree {degree}: z = {report.z_score:.2f}"
 
     def test_quadratic_cylinder(self):
         grid = TimeGrid.uniform(64, 1.0)
-        vals = ensemble_values("circulant", grid, CTX.hurst, 25, 4000)
+        vals = oracles.ensemble_matrix("circulant", grid, CTX.hurst, 25, 4000)
         report = _isometry_report(CylinderFunction.monomial(2), vals, CTX, grid=grid)
         assert report.verdict, f"quadratic integrand z = {report.z_score:.2f}"
 
     def test_report_shape(self):
         grid = TimeGrid.uniform(16, 1.0)
-        vals = ensemble_values("circulant", grid, CTX.hurst, 26, 500)
+        vals = oracles.ensemble_matrix("circulant", grid, CTX.hurst, 26, 500)
         sides = isometry_check(CylinderFunction.constant(1.0), vals, CTX, grid=grid, name="probe")
         assert sides.shape == (2, 500)
 
 
 @pytest.mark.parametrize(
-    "fn, degree",
+    "fn, dense",
     [
-        (CylinderFunction.constant(2.0), 0),
-        (CylinderFunction.monomial(1), 1),
-        (CylinderFunction.monomial(4), 4),
-        (CylinderFunction.polynomial([1.5, 0.0]), 1),
-        (CylinderFunction.polynomial([0.0, 1.0, 0.0]), 2),
-        (CylinderFunction.exponential(0.5), None),
-        (CylinderFunction.sine(2.0), None),
+        (CylinderFunction.constant(2.0), ()),
+        (CylinderFunction.polynomial([0.0, 0.0]), ()),
+        (CylinderFunction.polynomial([1.5, 0.0]), ()),
+        (CylinderFunction.monomial(1), ("gamma",)),
+        (CylinderFunction.polynomial([0.0, 1.0, 0.0]), ("gamma",)),
+        (CylinderFunction.monomial(4), ("gamma", "cross")),
+        (CylinderFunction.exponential(0.5), ("gamma", "cross")),
+        (CylinderFunction.sine(2.0), ("gamma", "cross")),
     ],
 )
-def test_cylinder_degree_is_the_recorded_one(fn, degree):
-    # the coefficient count decides, so trailing zeros count: a recorded
-    # degree above the true one only makes the isometry take a dense form
-    assert fn.degree == degree
+def test_isometry_constant_forms_follow_the_recorded_coeffs(fn, dense):
+    # the coefficients with trailing zeros trimmed decide: at most one makes
+    # f constant and d zero, two make d constant, and a transcendental has
+    # both forms dense; a form that is constant never reads its kernel
+    grid = TimeGrid.uniform(8, 1.0)
+    w = oracles.ensemble_matrix("circulant", grid, CTX.hurst, 3, 64)
+    kernels = isometry_kernels(grid, CTX)
+    unread = kernels._replace(**{k: None for k in ("gamma", "cross") if k not in dense})
+    sides = isometry_check(fn, w, CTX, grid=grid, kernels=unread)
+    assert np.array_equal(sides, isometry_check(fn, w, CTX, grid=grid, kernels=kernels))
+    want = fmean(oracles.isometry_rhs_dense(fn, w, grid.points, CTX.h))
+    assert fmean(sides[1]) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestBlockedIsometry:
-    """The row-blocked isometry, with shared kernels and constant forms
-    skipped, against the whole-matrix formula with both forms dense."""
+    """The isometry, with shared kernels and constant forms skipped,
+    against the whole-matrix formula with both forms dense."""
 
-    # 512 nodes make the isometry's blocks the 128-row minimum, so the path
-    # counts below end inside the first block, at its end and past it
+    # the isometry suite streams blocks of at least 128 rows; the path
+    # counts below lie inside one such block, at its size and past it
     GRID_N = 511
     INTEGRANDS = {
         "const": CylinderFunction.constant(1.3),
@@ -340,7 +346,7 @@ class TestBlockedIsometry:
     def noise(self, request):
         ctx = PhiContext(HurstParameter(request.param))
         grid = TimeGrid.uniform(self.GRID_N, 1.0)
-        w = ensemble_values("circulant", grid, ctx.hurst, 31, 300)
+        w = oracles.ensemble_matrix("circulant", grid, ctx.hurst, 31, 300)
         return ctx, grid, w, isometry_kernels(grid, ctx)
 
     @pytest.mark.parametrize("n_paths", [2, 127, 128, 129, 300])
@@ -354,40 +360,3 @@ class TestBlockedIsometry:
         want = fmean(oracles.isometry_rhs_dense(fn, paths, grid.points, ctx.h))
         assert fmean(sides[1]) == pytest.approx(want, rel=1e-12, abs=0.0)
         assert np.array_equal(isometry_check(fn, paths, ctx, grid=grid), sides)
-
-
-class TestPerPathMemory:
-    """Per-path Wick integrals allocate row blocks, never a matrix the size
-    of the paths: at 512 cells x 2000 paths each call stays under a quarter
-    of the paths' bytes, which one full-size temporary already exceeds."""
-
-    @pytest.fixture(scope="class")
-    def noise(self):
-        ctx = PhiContext(HurstParameter(0.7))
-        grid = TimeGrid.uniform(512, 1.0)
-        w = ensemble_values("circulant", grid, ctx.hurst, 41, 2000)
-        return ctx, grid, w
-
-    @staticmethod
-    def _peak(call) -> int:
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            call()
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
-    def test_isometry_with_shared_kernels(self, noise):
-        ctx, grid, w = noise
-        kernels = isometry_kernels(grid, ctx)
-        fn = CylinderFunction.monomial(2)
-        peak = self._peak(lambda: isometry_check(fn, w, ctx, grid=grid, kernels=kernels))
-        assert peak < w.nbytes / 4, f"isometry_check allocated {peak / 2**20:.2f} MiB"
-
-    def test_exponential_functional(self, noise):
-        ctx, grid, w = noise
-        f = StepFunction.constant(1.0, 1.0)
-        peak = self._peak(lambda: exponential_functional(f, w, ctx, grid))
-        assert peak < w.nbytes / 4, f"exponential_functional allocated {peak / 2**20:.2f} MiB"
