@@ -292,14 +292,27 @@ class TestRowBlocks:
         w = oracles.ensemble_matrix("circulant", grid, ctx.hurst, 17, 3 * self.BLOCK + 7)
         return ctx, grid, w
 
-    @pytest.mark.parametrize("place", ["block-edge", "mid-block", "strided"])
+    # [lo, hi) as offsets from the start of the second sampler block; the
+    # ensemble holds three whole blocks and a ragged last one of 7 rows
+    PLACES = {
+        "block-edge": (-5, 6),
+        "mid-block": (40, 60),
+        "strided": (-5, 6),
+        "one-path": (3, 4),
+        "whole-block": (0, BLOCK),
+        "ragged-last-block": (2 * BLOCK, 2 * BLOCK + 7),
+    }
+
+    @pytest.mark.parametrize("place", list(PLACES))
     def test_rows_alone_equal_the_same_rows_of_the_whole_matrix(self, noise, place):
-        # the suites hand each check one sampler block; every value is a
-        # function of its own row, so no blocking moves a bit of it. Ladders
-        # pass every other column of the fine paths, not a copy
+        # the suites hand each check one sampler block, a single path being
+        # a block of one; every value is a function of its own row, so no
+        # blocking moves a bit of it. Ladders pass every other column of
+        # the fine paths, not a copy
         ctx, grid, w = noise
         assert self.BLOCK > 1
-        lo, hi = (self.BLOCK + 40, self.BLOCK + 60) if place == "mid-block" else (self.BLOCK - 5, self.BLOCK + 6)
+        lo, hi = (self.BLOCK + d for d in self.PLACES[place])
+        assert 0 <= lo < hi <= w.shape[0]
         if place == "strided":
             w, grid = w[:, ::2], TimeGrid(grid.points[::2])
         for name, check in _row_local_checks(ctx, grid).items():
